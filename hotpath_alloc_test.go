@@ -6,6 +6,7 @@ package guardrails
 // a change reintroduces a per-dispatch or per-evaluation allocation.
 
 import (
+	"runtime"
 	"testing"
 
 	"guardrails/internal/compile"
@@ -97,5 +98,113 @@ func TestMonitorEvaluateProvenanceEnabledAllocationFree(t *testing.T) {
 	}
 	if rt.Provenance().Total() == 0 {
 		t.Fatal("recorder captured nothing; the measurement exercised the wrong path")
+	}
+}
+
+// shardLatSpec is the fire-path guardrail of the shard-throughput load:
+// one hook-triggered LOAD-and-compare per io_done fire.
+const shardLatSpec = `
+guardrail shard-lat {
+    trigger: { FUNCTION(io_done) },
+    rule: { LOAD(lat_ma) <= 0.95 },
+    action: { SAVE(alert, 1) }
+}`
+
+// TestKernelFireThroughMonitorAllocationFree: a hook fire that runs a
+// loaded monitor allocates nothing — the variadic argument slice stays
+// on the caller's stack because hooks see the kernel's own buffer.
+func TestKernelFireThroughMonitorAllocationFree(t *testing.T) {
+	k := kernel.New()
+	st := featurestore.New()
+	rt := monitor.New(k, st)
+	ms, err := rt.LoadSource(shardLatSpec, monitor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Save("lat_ma", 0.5)
+	x := 0.0
+	k.Fire("io_done", x)
+	if n := testing.AllocsPerRun(1000, func() {
+		x++
+		k.Fire("io_done", x)
+	}); n != 0 {
+		t.Errorf("Kernel.Fire through a monitor allocates %v times per fire, want 0", n)
+	}
+	if ms[0].Stats().Evals < 1000 {
+		t.Fatalf("monitor evaluated %d times; the fires did not reach it", ms[0].Stats().Evals)
+	}
+}
+
+// TestTimerTickAllocationFree: a periodic timer tick driven by RunUntil
+// allocates nothing — events sit by value in the kernel's heap, so
+// rescheduling the next tick is not an allocation.
+func TestTimerTickAllocationFree(t *testing.T) {
+	k := kernel.New()
+	ticks := 0
+	k.Every(0, kernel.Millisecond, 0, func(kernel.Time) { ticks++ })
+	now := kernel.Time(0)
+	step := func() {
+		now += kernel.Millisecond
+		k.RunUntil(now)
+	}
+	step()
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Errorf("one timer tick allocates %v times, want 0", n)
+	}
+	if ticks < 1000 {
+		t.Fatalf("timer ticked %d times; RunUntil did not drive it", ticks)
+	}
+}
+
+// TestShardedQuantumFiresAllocationFree: a 2-shard quantum of the
+// shard-throughput load (per shard, every 10µs: one SAVE, then 8
+// io_done fires through the guardrail) allocates no more than an
+// identical pool quantum with no load. The pool's per-quantum
+// bookkeeping (shard goroutines, the epoch aggregate) is the only
+// allocation left, so the 1600 fires of a quantum allocate nothing.
+func TestShardedQuantumFiresAllocationFree(t *testing.T) {
+	const quanta = 200
+	mallocs := func(load bool) (allocs, fires uint64) {
+		sys := NewShardedSystem(2)
+		sys.RegisterAggregate("lat_ma", AggMean)
+		if load {
+			if _, err := sys.LoadGuardrails(shardLatSpec, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < sys.NumShards(); i++ {
+				sh := sys.Shard(i)
+				lat := sh.Store.Intern("lat_ma")
+				sh.Kernel.Every(0, 10*Microsecond, 0, func(Time) {
+					sh.Store.SaveID(lat, 0.5)
+					for b := 0; b < 8; b++ {
+						sh.Kernel.Fire("io_done", float64(b))
+					}
+				})
+			}
+		}
+		now := sys.Pool.Quantum()
+		sys.RunUntil(now) // warm up: size heaps and first-use state
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for q := 0; q < quanta; q++ {
+			now += sys.Pool.Quantum()
+			sys.RunUntil(now)
+		}
+		runtime.ReadMemStats(&after)
+		for i := 0; i < sys.NumShards(); i++ {
+			fires += sys.Shard(i).Kernel.FireCount("io_done")
+		}
+		return after.Mallocs - before.Mallocs, fires
+	}
+	idle, _ := mallocs(false)
+	loaded, fires := mallocs(true)
+	if fires < quanta*1600 {
+		t.Fatalf("only %d fires ran; the load did not run", fires)
+	}
+	// Fewer than one allocation per two quanta of 1600 fires: any
+	// per-fire or per-tick allocation would add hundreds per quantum.
+	if extra := int64(loaded) - int64(idle); extra >= quanta/2 {
+		t.Errorf("%d quanta of fires allocate %d times more than idle quanta (%.4f per fire), want 0",
+			quanta, extra, float64(extra)/float64(fires))
 	}
 }

@@ -33,9 +33,16 @@ const NoID ID = -1
 // same key (which would recurse).
 type WatchFunc func(name string, value float64)
 
+// cell is one key's value. Cells are written on every SAVE, and the
+// cells of a sharded store's shards are interned side by side, so each
+// is padded to 128 bytes: the allocator places it on a 128-byte
+// boundary, and no shard's writes land on a cache line (or the line
+// pair x86's adjacent-line prefetcher fetches) holding another shard's
+// cell.
 type cell struct {
 	bits atomic.Uint64 // float64 bits
 	seq  atomic.Uint64 // incremented on every Save; 0 = never written
+	_    [128 - 16]byte
 }
 
 // Store is a concurrent feature store. The zero value is not usable; use

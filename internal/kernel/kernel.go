@@ -17,6 +17,18 @@
 // and cool-down events from action paths, and fault-injection stress
 // tests load and unload monitors while the clock advances.
 //
+// The per-event path costs only what its kernel owns: events live by
+// value in a binary heap (no allocation per scheduled event or timer
+// tick), one lock acquisition pops the next due event, and Fire hands
+// hooks a kernel-owned argument buffer that the stepping goroutine
+// claims with one CAS, so the caller's variadic slice stays on its
+// stack. A Fire that finds the buffer taken — a hook firing another
+// site, or a Fire from another goroutine — copies its arguments to the
+// heap instead; both paths run the same hooks. A Fire at a site with
+// no hooks claims nothing: it only counts the fire. The state each
+// shard writes on every event (clock, heap, argument buffer, per-site
+// fire counters) sits on cache lines no other shard touches.
+//
 // For multi-core execution a Pool runs N Kernel shards — each with its
 // own clock, event heap, hook table, and task registry — concurrently
 // between deterministic barrier points (see pool.go), the simulated
@@ -24,12 +36,13 @@
 package kernel
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"guardrails/internal/telemetry"
 )
@@ -58,30 +71,74 @@ func (t Time) String() string {
 	}
 }
 
+// cacheLine is the false-sharing granularity this package pads to: two
+// 64-byte lines, because x86's adjacent-line prefetcher moves them as a
+// pair. The Go allocator places an object whose size is a multiple of
+// 128 bytes (and a size class, as 128, 256, 384, 512 and 768 are) at a
+// 128-byte boundary, so padding per-shard state to such a size gives
+// each copy its own lines; TestShardStateCacheLineAligned checks it.
+const cacheLine = 128
+
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before orders events by time, then by schedule order. seq is unique,
+// so the order is total and the heap's shape cannot change it.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events held by value.
+type eventQueue []event
+
+// initialQueueCap pre-sizes each kernel's heap to 16 events: 384 bytes,
+// a 128-byte multiple, so a shard's few pending events never share a
+// cache line with another shard's heap.
+const initialQueueCap = 3 * cacheLine / int(unsafe.Sizeof(event{}))
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+// pop removes and returns the earliest event; the queue must be
+// non-empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the closure reference
+	h = h[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		c := l
+		if r := l + 1; r < n && h[r].before(&h[l]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
 }
 
 // HookFn observes a hook-point firing. args are site-specific positional
@@ -100,23 +157,42 @@ type hookSlot struct {
 // hookSite is one hook point's dispatch state. The slot list is
 // copy-on-write behind an atomic pointer so Fire — the per-event hot
 // path every shard runs concurrently — reads it with a single atomic
-// load: no lock, no allocation, no cache line shared with other sites'
-// fire counters.
+// load: no lock, no allocation. The padding gives each site (and so
+// each shard's copy of a site) its own cache lines for the fire
+// counter written on every Fire.
 type hookSite struct {
 	slots atomic.Pointer[[]hookSlot]
 	fires atomic.Uint64
+	_     [cacheLine - 16]byte
 }
+
+// maxFireArgs is the size of the kernel-owned Fire argument buffer;
+// Fire calls with more arguments copy them to the heap.
+const maxFireArgs = 4
 
 // Kernel is a deterministic discrete-event simulated kernel — in a
 // sharded Pool, one shard. One goroutine at a time may step the event
 // loop; scheduling, hook registration, and clock reads are safe from
 // any goroutine.
 type Kernel struct {
+	// The state is written on every event (clock, heap, argument buffer)
+	// or read on every Fire; padding the struct to a 128-byte multiple
+	// keeps it off the cache lines of the next shard's Kernel.
+	_ [(cacheLine - unsafe.Sizeof(kernelState{})%cacheLine) % cacheLine]byte
+	kernelState
+}
+
+type kernelState struct {
 	now atomic.Int64 // Time
 
 	qmu   sync.Mutex // guards seq + queue
 	seq   uint64
 	queue eventQueue
+
+	// argBuf is the argument buffer Fire hands to hooks; argBusy is
+	// claimed by CAS for the duration of one dispatch (see Fire).
+	argBuf  [maxFireArgs]float64
+	argBusy atomic.Bool
 
 	// sites is the copy-on-write hook table: the map value is replaced
 	// wholesale (under hmu) when a new site appears, and the *hookSite
@@ -142,10 +218,10 @@ type Kernel struct {
 
 // New returns a kernel at time zero, on deployment generation 1.
 func New() *Kernel {
-	k := &Kernel{
-		tasks:   make(map[TaskID]*Task),
-		nextTID: 1,
-	}
+	k := &Kernel{}
+	k.queue = make(eventQueue, 0, initialQueueCap)
+	k.tasks = make(map[TaskID]*Task)
+	k.nextTID = 1
 	empty := make(map[string]*hookSite)
 	k.sites.Store(&empty)
 	k.generation.Store(1)
@@ -172,7 +248,7 @@ func (k *Kernel) At(t Time, fn func()) {
 	}
 	k.qmu.Lock()
 	k.seq++
-	heap.Push(&k.queue, &event{at: t, seq: k.seq, fn: fn})
+	k.queue.push(event{at: t, seq: k.seq, fn: fn})
 	k.qmu.Unlock()
 }
 
@@ -213,51 +289,45 @@ func (k *Kernel) Every(start, interval, stop Time, fn func(now Time)) *Timer {
 	return t
 }
 
-// pop removes and returns the next event, or nil when the queue is
-// empty, advancing the clock to the event's time.
-func (k *Kernel) pop() *event {
+// popDue removes the earliest event due at or before through and
+// advances the clock to its time, under one lock acquisition. ok is
+// false when nothing is due.
+func (k *Kernel) popDue(through Time) (fn func(), ok bool) {
 	k.qmu.Lock()
-	defer k.qmu.Unlock()
-	if k.queue.Len() == 0 {
-		return nil
+	if len(k.queue) == 0 || k.queue[0].at > through {
+		k.qmu.Unlock()
+		return nil, false
 	}
-	e := heap.Pop(&k.queue).(*event)
+	e := k.queue.pop()
 	k.now.Store(int64(e.at))
-	return e
+	k.qmu.Unlock()
+	return e.fn, true
 }
 
 // Step executes the next pending event, advancing the clock. It returns
 // false when the queue is empty.
 func (k *Kernel) Step() bool {
-	e := k.pop()
-	if e == nil {
-		return false
+	fn, ok := k.popDue(math.MaxInt64)
+	if ok {
+		fn()
 	}
-	e.fn()
-	return true
-}
-
-// nextAt returns the time of the earliest pending event, or ok=false.
-func (k *Kernel) nextAt() (Time, bool) {
-	k.qmu.Lock()
-	defer k.qmu.Unlock()
-	if k.queue.Len() == 0 {
-		return 0, false
-	}
-	return k.queue[0].at, true
+	return ok
 }
 
 // RunUntil executes events until the queue is empty or the next event is
 // at or after deadline; the clock finishes at min(deadline, last event).
 // It returns the number of events executed.
 func (k *Kernel) RunUntil(deadline Time) int {
+	if deadline <= 0 {
+		return 0 // no event is ever scheduled before time 0
+	}
 	n := 0
 	for {
-		at, ok := k.nextAt()
-		if !ok || at >= deadline {
+		fn, ok := k.popDue(deadline - 1)
+		if !ok {
 			break
 		}
-		k.Step()
+		fn()
 		n++
 	}
 	if k.Now() < deadline {
@@ -280,7 +350,7 @@ func (k *Kernel) Run() int {
 func (k *Kernel) Pending() int {
 	k.qmu.Lock()
 	defer k.qmu.Unlock()
-	return k.queue.Len()
+	return len(k.queue)
 }
 
 // siteFor returns the dispatch state for site, creating it (under hmu,
@@ -364,17 +434,18 @@ func (k *Kernel) Telemetry() *telemetry.Sink { return k.tsink.Load() }
 // a kprobe firing. The dispatch path is lock-free: the site entry and
 // its slot list are read with two atomic loads, so concurrent shards
 // firing different (or the same) sites never serialize on a mutex.
+//
+// Hooks see the arguments in the kernel's own buffer, which the
+// stepping goroutine claims with one CAS per dispatch, so the args
+// slice does not escape and a Fire with up to 4 arguments allocates
+// nothing. When the buffer is taken — a hook that fires another site,
+// or a Fire from a goroutine other than the one stepping the kernel —
+// the arguments are copied to the heap instead. Either way hooks must
+// not retain the slice. A site with no hooks only counts the fire.
 func (k *Kernel) Fire(site string, args ...float64) {
-	hs := (*k.sites.Load())[site]
-	if hs == nil {
-		hs = k.siteFor(site)
-	}
+	hs := k.siteFor(site)
 	hs.fires.Add(1)
 	slots := *hs.slots.Load()
-	var guard PanicHandler
-	if h, ok := k.panicGuard.Load().(PanicHandler); ok && h != nil {
-		guard = h
-	}
 	sink := k.tsink.Load()
 	var wallStart time.Time
 	if sink != nil {
@@ -385,15 +456,35 @@ func (k *Kernel) Fire(site string, args ...float64) {
 		sink.HookFire(int64(k.Now()), site, arg)
 		wallStart = time.Now()
 	}
-	for _, s := range slots {
-		if guard == nil {
-			s.fn(k, site, args)
-			continue
-		}
-		k.fireGuarded(s.fn, site, args, guard)
+	if len(slots) > 0 {
+		k.dispatch(slots, site, args)
 	}
 	if sink != nil {
 		sink.HookDispatched(site, float64(time.Since(wallStart)))
+	}
+}
+
+// dispatch runs a site's hooks on a copy of args: the kernel's buffer
+// when its CAS succeeds, else a heap copy.
+func (k *Kernel) dispatch(slots []hookSlot, site string, args []float64) {
+	var buf []float64
+	if len(args) <= maxFireArgs && k.argBusy.CompareAndSwap(false, true) {
+		defer k.argBusy.Store(false)
+		buf = k.argBuf[:len(args)]
+	} else {
+		buf = make([]float64, len(args))
+	}
+	copy(buf, args)
+	var guard PanicHandler
+	if h, ok := k.panicGuard.Load().(PanicHandler); ok && h != nil {
+		guard = h
+	}
+	for _, s := range slots {
+		if guard == nil {
+			s.fn(k, site, buf)
+			continue
+		}
+		k.fireGuarded(s.fn, site, buf, guard)
 	}
 }
 

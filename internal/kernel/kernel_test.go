@@ -1,6 +1,11 @@
 package kernel
 
 import (
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -85,6 +90,31 @@ func TestRunUntil(t *testing.T) {
 	k.RunUntil(30)
 	if count != 2 {
 		t.Error("event at deadline ran")
+	}
+}
+
+// TestRunUntilAndStepAtTimeBounds: RunUntil with a deadline at or
+// before time 0 runs nothing, RunUntil(1) runs an event at time 0, and
+// Step runs an event scheduled at the largest Time.
+func TestRunUntilAndStepAtTimeBounds(t *testing.T) {
+	k := New()
+	var ran []Time
+	k.At(0, func() { ran = append(ran, k.Now()) })
+	k.At(math.MaxInt64, func() { ran = append(ran, k.Now()) })
+	if n := k.RunUntil(0); n != 0 || len(ran) != 0 {
+		t.Fatalf("RunUntil(0) ran %d events", n)
+	}
+	if n := k.RunUntil(math.MinInt64); n != 0 || k.Now() != 0 {
+		t.Fatalf("RunUntil(MinInt64) ran %d events, clock %d", n, k.Now())
+	}
+	if n := k.RunUntil(1); n != 1 || k.Now() != 1 {
+		t.Fatalf("RunUntil(1) ran %d events, clock %d", n, k.Now())
+	}
+	if !k.Step() || k.Now() != math.MaxInt64 || k.Step() {
+		t.Fatalf("Step did not run exactly the event at the largest time: ran %v", ran)
+	}
+	if len(ran) != 2 || ran[0] != 0 || ran[1] != math.MaxInt64 {
+		t.Fatalf("ran at %v", ran)
 	}
 }
 
@@ -262,5 +292,89 @@ func TestTaskStateString(t *testing.T) {
 	if TaskReady.String() != "ready" || TaskRunning.String() != "running" ||
 		TaskBlocked.String() != "blocked" || TaskKilled.String() != "killed" {
 		t.Error("state names wrong")
+	}
+}
+
+// TestHeapOrderMatchesTimeThenSchedule: the value heap runs events in
+// (time, schedule order), including events scheduled while the loop
+// runs, across a randomized mix of duplicate and distinct times.
+func TestHeapOrderMatchesTimeThenSchedule(t *testing.T) {
+	k := New()
+	rng := rand.New(rand.NewSource(1))
+	type ev struct {
+		at  Time
+		seq int
+	}
+	var want, got []ev
+	seq := 0
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		if at < k.Now() {
+			at = k.Now()
+		}
+		e := ev{at, seq}
+		seq++
+		want = append(want, e)
+		k.At(at, func() {
+			got = append(got, e)
+			if rng.Intn(4) == 0 {
+				schedule(k.Now() + Time(rng.Intn(50)))
+			}
+		})
+	}
+	for i := 0; i < 2000; i++ {
+		schedule(Time(rng.Intn(500)))
+	}
+	k.Run()
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(got) != len(want) {
+		t.Fatalf("ran %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d ran as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestFireArgsUnderConcurrentAndReentrantFires: every hook sees exactly
+// the arguments its own Fire passed, whether the Fire owned the kernel's
+// argument buffer or fell back to a heap copy because another goroutine
+// or an enclosing Fire held it.
+func TestFireArgsUnderConcurrentAndReentrantFires(t *testing.T) {
+	k := New()
+	var torn atomic.Int64
+	check := func(_ *Kernel, _ string, args []float64) {
+		if len(args) != 2 || args[1] != -args[0] {
+			torn.Add(1)
+		}
+	}
+	k.Attach("outer", check)
+	k.Attach("outer", func(k *Kernel, _ string, args []float64) {
+		x := args[0]
+		k.Fire("inner", x+0.5, -(x + 0.5))
+		if args[0] != x || args[1] != -x {
+			torn.Add(1)
+		}
+	})
+	k.Attach("inner", check)
+	const goroutines, fires = 4, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < fires; i++ {
+				x := float64(g*fires + i)
+				k.Fire("outer", x, -x)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d hook calls saw another fire's arguments", n)
+	}
+	if got := k.FireCount("inner"); got != goroutines*fires {
+		t.Fatalf("inner fired %d times, want %d", got, goroutines*fires)
 	}
 }

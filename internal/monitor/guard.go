@@ -99,11 +99,7 @@ type FaultInjector interface {
 }
 
 // State returns the monitor's position on the degradation ladder.
-func (m *Monitor) State() State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.state
-}
+func (m *Monitor) State() State { return m.gate.Load().state }
 
 // Rearm manually returns a quarantined monitor to active duty,
 // regardless of any cooldown. It is a no-op unless quarantined.
@@ -140,7 +136,7 @@ func trapKind(err error) string {
 // breaker and quarantines the monitor when the threshold is reached.
 func (m *Monitor) breakerHit(now kernel.Time) {
 	m.mu.Lock()
-	if m.opts.BreakerThreshold <= 0 || m.state == StateQuarantined {
+	if m.opts.BreakerThreshold <= 0 || m.gate.Load().state == StateQuarantined {
 		m.mu.Unlock()
 		return
 	}
@@ -167,11 +163,11 @@ func (m *Monitor) breakerHit(now kernel.Time) {
 func (m *Monitor) quarantine(reason string) {
 	now := m.rt.k.Now()
 	m.mu.Lock()
-	if m.state == StateQuarantined {
+	if m.gate.Load().state == StateQuarantined {
 		m.mu.Unlock()
 		return
 	}
-	m.state = StateQuarantined
+	m.setGate(func(g *gating) { g.state = StateQuarantined })
 	m.stats.Quarantines++
 	policy := m.opts.OnFault
 	cooldown := m.opts.Cooldown
@@ -198,11 +194,11 @@ func (m *Monitor) quarantine(reason string) {
 // rearm returns a quarantined monitor to active duty.
 func (m *Monitor) rearm(how string) {
 	m.mu.Lock()
-	if m.state != StateQuarantined || !m.enabled {
+	if g := m.gate.Load(); g.state != StateQuarantined || !g.enabled {
 		m.mu.Unlock()
 		return
 	}
-	m.state = StateActive
+	m.setGate(func(g *gating) { g.state = StateActive })
 	m.stats.Rearms++
 	m.faultTimes = m.faultTimes[:0]
 	policy := m.opts.OnFault
@@ -220,19 +216,19 @@ func (m *Monitor) rearm(how string) {
 // accountBudget charges an evaluation's VM steps against the monitor's
 // per-window overhead budget (property P5 turned from accounting into
 // enforcement). Over budget demotes to shadow mode; the demotion is
-// undone when a fresh window begins.
+// undone when a fresh window begins. Options are immutable after Load,
+// so an unbudgeted monitor returns without taking the lock.
 func (m *Monitor) accountBudget(steps uint64, now kernel.Time) {
-	m.mu.Lock()
 	if m.opts.StepBudget == 0 {
-		m.mu.Unlock()
 		return
 	}
+	m.mu.Lock()
 	epoch := int64(now / m.opts.BudgetWindow)
 	if epoch != m.budgetEpoch {
 		m.budgetEpoch = epoch
 		m.windowSteps = 0
-		if m.state == StateShadow {
-			m.state = StateActive
+		if m.gate.Load().state == StateShadow {
+			m.setGate(func(g *gating) { g.state = StateActive })
 			m.stats.ShadowPromotions++
 			m.mu.Unlock()
 			m.rt.Telemetry().Transition(int64(now), m.Name(), telemetry.KindShadowExit, "budget window reset")
@@ -244,8 +240,8 @@ func (m *Monitor) accountBudget(steps uint64, now kernel.Time) {
 		}
 	}
 	m.windowSteps += steps
-	if m.state == StateActive && m.windowSteps > m.opts.StepBudget {
-		m.state = StateShadow
+	if m.gate.Load().state == StateActive && m.windowSteps > m.opts.StepBudget {
+		m.setGate(func(g *gating) { g.state = StateShadow })
 		m.stats.ShadowDemotions++
 		used := m.windowSteps
 		m.mu.Unlock()

@@ -178,8 +178,23 @@ type Monitor struct {
 	// dependency-trigger recursion: a SAVE during evaluation fires
 	// store watchers, which re-enter Evaluate and bounce off the CAS).
 	// The CAS also publishes the single-eval state — machine, lastGood,
-	// suppressActions — across goroutines.
+	// suppressActions, the evaluator's gate view — across goroutines.
 	running atomic.Bool
+
+	// gate is the gating snapshot Evaluate reads with one atomic load.
+	// It is immutable; every mutator republishes a fresh copy under mu.
+	gate atomic.Pointer[gating]
+
+	// evalAct is the act-gate box the evaluator last saw, and evalIdx
+	// numbers evaluation attempts (including faulted ones) since then,
+	// for the act gate's deterministic sampling. Only touched while
+	// running is held. SetActGate publishes a new box, and the first
+	// evaluation to see it restarts the index at zero, so monitors
+	// attached to the same trigger stream whose gates are installed in
+	// the same kernel step see aligned indices from then on — the
+	// property complementary stride gates rely on.
+	evalAct *actGate
+	evalIdx uint64
 
 	// suppressActions gates SAVE/REPORT/ACTION effects during the
 	// rule-only phase of hysteresis and in shadow states. Only touched
@@ -188,7 +203,8 @@ type Monitor struct {
 
 	// lastGood holds the last non-NaN value read per cell, the
 	// substitute served when a read comes back corrupt. Only touched
-	// while running is held.
+	// while running is held. It is written on every LOAD, so it is
+	// allocated by paddedCells onto cache lines of its own.
 	lastGood []float64
 
 	// trigAt is the simulated time of the trigger that started the
@@ -199,13 +215,16 @@ type Monitor struct {
 	// Provenance capture state (see provenance.go). prov is the
 	// reusable scratch record and provTrace the reusable VM branch
 	// trace for the in-flight evaluation; provLive marks a capture in
-	// flight; provSkip is the head-based healthy-sample countdown
-	// (commit at zero, reload to HealthyEvery-1). All are only touched
-	// while running is held. provSite is set by hook-trigger closures
-	// just before Evaluate (kernel goroutine ordering publishes it).
+	// flight; provCause is the shadow cause prov.Shadow/ShadowReason
+	// currently describe; provSkip is the head-based healthy-sample
+	// countdown (commit at zero, reload to HealthyEvery-1). All are
+	// only touched while running is held, including provSite, which the
+	// evaluation sets from its trigger site once the running CAS
+	// succeeds.
 	prov      provenance.Record
 	provTrace vm.BranchTrace
 	provLive  bool
+	provCause shadowCause
 	provSkip  uint64
 	provSite  string
 	// provSyms is the program symbol table (pulled up from
@@ -216,10 +235,8 @@ type Monitor struct {
 	provSyms   []string
 	provGlobal []bool
 
-	mu      sync.Mutex // guards everything below
-	enabled bool
-	state   State
-	stats   Stats
+	mu    sync.Mutex // guards everything below and republishing gate
+	stats Stats
 
 	// gen is the monitor's deployment generation under its name: 1 on
 	// first Load, incremented by every hot Update. base carries the
@@ -228,21 +245,6 @@ type Monitor struct {
 	gen  int
 	base Stats
 
-	// evalIdx numbers evaluation attempts (including faulted ones) for
-	// the act gate's deterministic sampling. SetActGate zeroes it, so
-	// monitors attached to the same trigger stream whose gates are
-	// installed in the same kernel step see aligned indices from then
-	// on — the property complementary stride gates rely on.
-	evalIdx uint64
-	// actGate, when non-nil, decides per evaluation whether this
-	// monitor's actions are live (true) or suppressed as in shadow mode
-	// (false). The rollout control plane uses complementary stride gates
-	// to split traffic between an incumbent and a canary.
-	actGate func(n uint64) bool
-	// forceShadow pins the monitor in shadow regardless of state or
-	// options — the breakglass quarantine.
-	forceShadow bool
-
 	violStreak int
 	passStreak int
 	inEpisode  bool
@@ -250,6 +252,41 @@ type Monitor struct {
 	faultTimes  []kernel.Time // breaker sliding window
 	budgetEpoch int64
 	windowSteps uint64
+}
+
+// gating is the state that decides whether and how an evaluation runs.
+type gating struct {
+	enabled bool
+	// state is the monitor's position on the degradation ladder.
+	state State
+	// forceShadow pins the monitor in shadow regardless of state or
+	// options — the breakglass quarantine.
+	forceShadow bool
+	// act, when non-nil, decides per evaluation whether this monitor's
+	// actions are live or suppressed as in shadow mode.
+	act *actGate
+}
+
+// actGate boxes an act gate so that each SetActGate is a distinct
+// pointer the evaluator can recognise.
+type actGate struct{ allow func(n uint64) bool }
+
+// setGate republishes the gating snapshot with edit applied. The caller
+// holds mu, which serializes republishers.
+func (m *Monitor) setGate(edit func(g *gating)) {
+	g := *m.gate.Load()
+	edit(&g)
+	m.gate.Store(&g)
+}
+
+// paddedCells returns n zeroed per-cell values whose backing array is a
+// whole number of 128-byte blocks. The allocator places such arrays on
+// 128-byte boundaries, so the values written on every evaluation never
+// share a cache line (or the pair the adjacent-line prefetcher fetches)
+// with another shard's replica of the monitor.
+func paddedCells(n int) []float64 {
+	const perBlock = 128 / 8
+	return make([]float64, n, (n+perBlock-1)/perBlock*perBlock)
 }
 
 // Name returns the guardrail name.
@@ -348,9 +385,12 @@ func mergeStats(base, cur Stats) Stats {
 // all. Gating both members of a pair in the same kernel step restarts
 // their indices together, so the split really is complementary.
 func (m *Monitor) SetActGate(gate func(n uint64) bool) {
+	var box *actGate
+	if gate != nil {
+		box = &actGate{allow: gate}
+	}
 	m.mu.Lock()
-	m.actGate = gate
-	m.evalIdx = 0
+	m.setGate(func(g *gating) { g.act = box })
 	m.mu.Unlock()
 }
 
@@ -359,29 +399,22 @@ func (m *Monitor) SetActGate(gate func(n uint64) bool) {
 // breakglass quarantine. Safe to call while the kernel runs.
 func (m *Monitor) ForceShadow(v bool) {
 	m.mu.Lock()
-	m.forceShadow = v
+	m.setGate(func(g *gating) { g.forceShadow = v })
 	m.mu.Unlock()
 }
 
 // ForcedShadow reports whether breakglass has pinned the monitor in
 // shadow mode.
-func (m *Monitor) ForcedShadow() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.forceShadow
-}
+func (m *Monitor) ForcedShadow() bool { return m.gate.Load().forceShadow }
 
 // Enabled reports whether the monitor evaluates on triggers.
-func (m *Monitor) Enabled() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.enabled
-}
+func (m *Monitor) Enabled() bool { return m.gate.Load().enabled }
 
 // SetEnabled toggles evaluation without unloading (cheap pause/resume).
+// The next evaluation sees the change.
 func (m *Monitor) SetEnabled(v bool) {
 	m.mu.Lock()
-	m.enabled = v
+	m.setGate(func(g *gating) { g.enabled = v })
 	m.mu.Unlock()
 }
 
@@ -400,9 +433,7 @@ func (m *Monitor) arm() {
 				if len(args) > 0 {
 					arg = args[0]
 				}
-				m.provSite = site
-				m.Evaluate(arg)
-				m.provSite = ""
+				m.evaluate(arg, site)
 			})
 			m.detach = append(m.detach, detach)
 		}
@@ -457,35 +488,42 @@ func (m *Monitor) disarm() {
 // Whether a persistently faulting guardrail then enforces anything is
 // the quarantine policy's decision (Options.OnFault), not a side effect
 // of one bad run.
+func (m *Monitor) Evaluate(arg float64) bool { return m.evaluate(arg, "") }
+
+// evaluate is Evaluate for a trigger at hook site ("" for timers,
+// dependency triggers and direct calls). The gating snapshot costs one
+// atomic load, and the counters and streaks are updated in one critical
+// section, so a steady-state evaluation takes m.mu once.
 //
 //guardrails:hotpath
-func (m *Monitor) Evaluate(arg float64) bool {
+func (m *Monitor) evaluate(arg float64, site string) bool {
 	if !m.running.CompareAndSwap(false, true) {
 		return true
 	}
 	defer m.running.Store(false)
 
-	m.mu.Lock()
-	if !m.enabled || m.state == StateQuarantined {
-		m.mu.Unlock()
+	g := m.gate.Load()
+	if !g.enabled || g.state == StateQuarantined {
 		return true
 	}
-	shadow := m.opts.ShadowMode || m.state == StateShadow || m.forceShadow
-	shadowReason := ""
+	shadow := m.opts.ShadowMode || g.state == StateShadow || g.forceShadow
+	cause := notShadow
 	switch {
 	case m.opts.ShadowMode:
-		shadowReason = "shadow-mode"
-	case m.state == StateShadow:
-		shadowReason = "shadow-state"
-	case m.forceShadow:
-		shadowReason = "forced-shadow"
+		cause = causeOptions
+	case g.state == StateShadow:
+		cause = causeState
+	case g.forceShadow:
+		cause = causeForced
 	}
-	if m.actGate != nil && !shadow && !m.actGate(m.evalIdx) {
+	if g.act != m.evalAct {
+		m.evalAct, m.evalIdx = g.act, 0
+	}
+	if g.act != nil && !shadow && !g.act.allow(m.evalIdx) {
 		shadow = true
-		shadowReason = "act-gate"
+		cause = causeActGate
 	}
 	m.evalIdx++
-	m.mu.Unlock()
 
 	// The trigger time: hook fires and timer ticks run at the current
 	// simulated instant, so Now() here is the triggering hook's
@@ -493,10 +531,11 @@ func (m *Monitor) Evaluate(arg float64) bool {
 	// dispatch times.
 	trig := m.rt.k.Now()
 	m.trigAt = trig
+	m.provSite = site
 	sink := m.rt.Telemetry()
 	prov := m.rt.Provenance()
 	if prov != nil {
-		m.provBegin(arg, shadow, shadowReason)
+		m.provBegin(arg, cause)
 	}
 
 	if inj := m.rt.injector(); inj != nil {
@@ -513,27 +552,19 @@ func (m *Monitor) Evaluate(arg float64) bool {
 	out, err := m.machine.Run(m.c.Program, m, arg)
 	now := m.rt.k.Now()
 
-	m.mu.Lock()
-	m.stats.Evals++
-	m.stats.VMSteps = m.machine.Steps
-	m.stats.LastTriggerAt = trig
-	m.mu.Unlock()
-
-	if err != nil {
-		sink.Eval(int64(trig), m.Name(), m.machine.Steps-before, true)
-		m.recordFault(trapKind(err), err)
-		m.provAbandon()
-		m.accountBudget(m.machine.Steps-before, now)
-		return true
-	}
-
-	m.mu.Lock()
-	m.stats.LastResult = out
 	held := out != 0
 	fireRecover := false
 	twoPhase := false
 	fired := false
-	if held {
+	m.mu.Lock()
+	m.stats.Evals++
+	m.stats.VMSteps = m.machine.Steps
+	m.stats.LastTriggerAt = trig
+	switch {
+	case err != nil:
+		// A fault is not a result: the result and streaks stay as they were.
+	case held:
+		m.stats.LastResult = out
 		m.violStreak = 0
 		if m.inEpisode {
 			m.passStreak++
@@ -544,7 +575,8 @@ func (m *Monitor) Evaluate(arg float64) bool {
 				fireRecover = m.opts.OnRecover != nil
 			}
 		}
-	} else {
+	default:
+		m.stats.LastResult = out
 		m.stats.Violations++
 		m.violStreak++
 		m.passStreak = 0
@@ -562,6 +594,14 @@ func (m *Monitor) Evaluate(arg float64) bool {
 		}
 	}
 	m.mu.Unlock()
+
+	if err != nil {
+		sink.Eval(int64(trig), m.Name(), m.machine.Steps-before, true)
+		m.recordFault(trapKind(err), err)
+		m.provAbandon()
+		m.accountBudget(m.machine.Steps-before, now)
+		return true
+	}
 
 	if fireRecover {
 		m.opts.OnRecover(m)
@@ -597,7 +637,9 @@ func (m *Monitor) Evaluate(arg float64) bool {
 	// its step count (and virtual trace duration) is the evaluation's
 	// whole overhead.
 	sink.Eval(int64(trig), m.Name(), m.machine.Steps-before, held)
-	m.provEnd(prov, held, twoPhase, m.machine.Steps-before)
+	if m.provLive {
+		m.provEnd(prov, held, twoPhase, m.machine.Steps-before)
+	}
 	if fired {
 		sink.ActionsFired(int64(trig), m.Name())
 	}

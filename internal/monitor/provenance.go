@@ -46,16 +46,21 @@ func (m *Monitor) provInit() {
 // monitor, and every other field (At, Site, Held, Kind, ...) is
 // written by whichever commit path runs (provEnd for evaluations,
 // provFault for faults) — so only the state appended to during the
-// run is cleared here.
-func (m *Monitor) provBegin(arg float64, shadow bool, shadowReason string) {
+// run is cleared here. Every store here lands before the evaluation's
+// next fenced instruction (the m.mu lock), which waits for them, so
+// fields that rarely change (the truncation flags, the shadow cause)
+// are tested and written only when they differ. provBegin stays
+// within the inlining budget.
+func (m *Monitor) provBegin(arg float64, cause shadowCause) {
 	r := &m.prov
-	r.NFeatures, r.FeaturesTruncated = 0, false
-	r.NActions, r.ActionsTruncated = 0, false
+	r.NFeatures, r.NActions = 0, 0
+	if r.FeaturesTruncated || r.ActionsTruncated {
+		r.FeaturesTruncated, r.ActionsTruncated = false, false
+	}
 	r.Arg = arg
-	// Shadow state is stable across steady-state evaluations; compare
-	// before storing so the common case does not dirty the fields.
-	if r.Shadow != shadow || r.ShadowReason != shadowReason {
-		r.Shadow, r.ShadowReason = shadow, shadowReason
+	if m.provCause != cause {
+		m.provCause = cause
+		r.Shadow, r.ShadowReason = cause != notShadow, shadowReasons[cause]
 	}
 	m.provTrace.N, m.provTrace.Truncated = 0, false
 	if m.machine.Trace == nil {
@@ -63,6 +68,22 @@ func (m *Monitor) provBegin(arg float64, shadow bool, shadowReason string) {
 	}
 	m.provLive = true
 }
+
+// shadowCause says why an evaluation's actions are suppressed. The
+// evaluation passes a cause rather than the reason string, so
+// provBegin compares one byte instead of two strings.
+type shadowCause uint8
+
+const (
+	notShadow    shadowCause = iota
+	causeOptions             // Options.ShadowMode
+	causeState               // the budget ladder's shadow state
+	causeForced              // breakglass ForceShadow
+	causeActGate             // the act gate withheld this evaluation
+)
+
+// shadowReasons are the Record.ShadowReason strings, by cause.
+var shadowReasons = [...]string{"", "shadow-mode", "shadow-state", "forced-shadow", "act-gate"}
 
 // provAbandon tears down an in-flight capture without committing an
 // evaluation record — the trap paths, whose fault record recordFault
@@ -73,27 +94,29 @@ func (m *Monitor) provAbandon() {
 	m.provLive = false
 }
 
-// provEnd finishes the in-flight capture and commits it if the
-// decision is a violation (always-on) or admitted by the healthy
-// sample (1 in HealthyEvery healthy fires per monitor, head-based on
-// the monitor's own healthy-evaluation counter so a seeded run always
-// samples the same fires).
+// provEnd finishes the in-flight capture (the caller checks provLive)
+// and commits it if the decision is a violation (always-on) or
+// admitted by the healthy sample (1 in HealthyEvery healthy fires per
+// monitor, head-based on the monitor's own healthy-evaluation counter
+// so a seeded run always samples the same fires). The common case is
+// a healthy fire outside the sample; it pays only the inlined
+// countdown (a decrement, not a modulo — a 64-bit divide is measurable
+// at this grain), and provFinish does the rest.
 func (m *Monitor) provEnd(rec *provenance.Recorder, held, twoPhase bool, steps uint64) {
-	if !m.provLive {
-		return
-	}
 	m.provLive = false
-	// Decide admission before finishing the capture: the common case is
-	// a healthy fire outside the sample, and it should pay nothing
-	// beyond the countdown (a decrement, not a modulo — a 64-bit divide
-	// is measurable at this grain).
+	if held && m.provSkip != 0 {
+		m.provSkip--
+	} else {
+		m.provFinish(rec, held, twoPhase, steps)
+	}
+}
+
+// provFinish reloads the healthy-sample countdown and commits the
+// capture.
+func (m *Monitor) provFinish(rec *provenance.Recorder, held, twoPhase bool, steps uint64) {
 	if held {
 		every := rec.HealthyEvery()
 		if every == 0 {
-			return
-		}
-		if m.provSkip != 0 {
-			m.provSkip--
 			return
 		}
 		m.provSkip = every - 1

@@ -131,10 +131,10 @@ func (r *Runtime) Load(c *compile.Compiled, opts Options) (*Monitor, error) {
 		c:        c,
 		opts:     opts,
 		cells:    make([]featurestore.ID, len(c.Program.Symbols)),
-		lastGood: make([]float64, len(c.Program.Symbols)),
-		enabled:  true,
+		lastGood: paddedCells(len(c.Program.Symbols)),
 		gen:      1,
 	}
+	m.gate.Store(&gating{enabled: true})
 	for i, sym := range c.Program.Symbols {
 		m.cells[i] = r.store.Intern(sym)
 	}
@@ -206,16 +206,15 @@ func (r *Runtime) Update(c *compile.Compiled, opts Options) (*Monitor, error) {
 	opts.fillDefaults()
 	admitProof(c)
 	m := &Monitor{
-		rt:          r,
-		c:           c,
-		opts:        opts,
-		cells:       make([]featurestore.ID, len(c.Program.Symbols)),
-		lastGood:    make([]float64, len(c.Program.Symbols)),
-		enabled:     old.Enabled(),
-		forceShadow: old.ForcedShadow(),
-		gen:         old.Generation() + 1,
-		base:        old.Stats(),
+		rt:       r,
+		c:        c,
+		opts:     opts,
+		cells:    make([]featurestore.ID, len(c.Program.Symbols)),
+		lastGood: paddedCells(len(c.Program.Symbols)),
+		gen:      old.Generation() + 1,
+		base:     old.Stats(),
 	}
+	m.gate.Store(&gating{enabled: old.Enabled(), forceShadow: old.ForcedShadow()})
 	for i, sym := range c.Program.Symbols {
 		m.cells[i] = r.store.Intern(sym)
 	}

@@ -211,6 +211,26 @@ func (r *Record) Reset() {
 	r.Cand, r.Inc = Window{}, Window{}
 }
 
+// copyTo copies r into dst, moving only the first N* entries of each
+// inline array (entries beyond the counts are never read). A healthy
+// evaluation's record uses a few entries, so committing it into a cold
+// ring slot writes a few cache lines instead of the whole ~1.4 KB.
+func (r *Record) copyTo(dst *Record) {
+	dst.Seq, dst.At, dst.Shard, dst.Epoch = r.Seq, r.At, r.Shard, r.Epoch
+	dst.Kind, dst.Monitor, dst.Gen, dst.Site, dst.Arg = r.Kind, r.Monitor, r.Gen, r.Site, r.Arg
+	dst.Held, dst.Shadow, dst.ShadowReason, dst.TwoPhase = r.Held, r.Shadow, r.ShadowReason, r.TwoPhase
+	dst.Steps, dst.FaultKind = r.Steps, r.FaultKind
+	dst.TrapFree, dst.DivProven, dst.MaxSteps = r.TrapFree, r.DivProven, r.MaxSteps
+	dst.NFeatures, dst.FeaturesTruncated = r.NFeatures, r.FeaturesTruncated
+	copy(dst.Features[:r.NFeatures], r.Features[:r.NFeatures])
+	dst.NBranches, dst.BranchesTruncated = r.NBranches, r.BranchesTruncated
+	copy(dst.Branches[:r.NBranches], r.Branches[:r.NBranches])
+	dst.NActions, dst.ActionsTruncated = r.NActions, r.ActionsTruncated
+	copy(dst.Actions[:r.NActions], r.Actions[:r.NActions])
+	dst.Stage, dst.GateReason, dst.GateSource, dst.Reason = r.Stage, r.GateReason, r.GateSource, r.Reason
+	dst.Cand, dst.Inc = r.Cand, r.Inc
+}
+
 // AddFeature appends one feature read, setting the truncation flag on
 // overflow.
 func (r *Record) AddFeature(key string, value float64, patched, global bool) {
@@ -316,7 +336,7 @@ func (r *Recorder) push(rec *Record) {
 	r.seq++
 	r.total++
 	rec.Seq = r.seq
-	r.ring[r.head] = *rec
+	rec.copyTo(&r.ring[r.head])
 	r.head = (r.head + 1) % len(r.ring)
 	if r.size < len(r.ring) {
 		r.size++
