@@ -14,6 +14,7 @@ import (
 	"guardrails/internal/kernel"
 	"guardrails/internal/monitor"
 	"guardrails/internal/provenance"
+	"guardrails/internal/telemetry"
 	"guardrails/internal/vm"
 )
 
@@ -132,6 +133,79 @@ func TestKernelFireThroughMonitorAllocationFree(t *testing.T) {
 	}
 	if ms[0].Stats().Evals < 1000 {
 		t.Fatalf("monitor evaluated %d times; the fires did not reach it", ms[0].Stats().Evals)
+	}
+}
+
+// TestMonitorEvaluatePublishResultAllocationFree: publishing the
+// verdict to guardrail.<name>.violated writes a cell interned at load,
+// so it allocates nothing even for a name too long to build on the
+// stack.
+func TestMonitorEvaluatePublishResultAllocationFree(t *testing.T) {
+	k := kernel.New()
+	st := featurestore.New()
+	rt := monitor.New(k, st)
+	ms, err := rt.LoadSource(benchSpec, monitor.Options{PublishResult: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "guardrail.low-false-submit.violated"
+	published := 0
+	st.Watch(key, func(string, float64) { published++ })
+	st.Save("false_submit_rate", 0.01)
+	ms[0].Evaluate(0)
+	if n := testing.AllocsPerRun(1000, func() { ms[0].Evaluate(0) }); n != 0 {
+		t.Errorf("Evaluate with PublishResult allocates %v times per run, want 0", n)
+	}
+	if published < 1000 {
+		t.Fatalf("%s was written %d times; the result was not published", key, published)
+	}
+	st.Save("false_submit_rate", 0.9)
+	ms[0].Evaluate(0)
+	if got := st.Load(key); got != 1 {
+		t.Errorf("%s = %v after a violation, want 1", key, got)
+	}
+}
+
+// TestKernelFireWithTelemetryAllocationFree: with a telemetry sink on
+// the kernel, the runtime and the store, a hook fire through a monitor
+// still allocates nothing. Each measured run fires 32 times, so it
+// covers the sampled wall-clock fires as well as the untimed ones; the
+// ring is small enough to wrap on every run; and the sink is attached
+// just before measuring, so the first (unmeasured) run resolves the
+// site's and the monitor's histogram handles.
+func TestKernelFireWithTelemetryAllocationFree(t *testing.T) {
+	const firesPerRun = 32
+	k := kernel.New()
+	st := featurestore.New()
+	rt := monitor.New(k, st)
+	ms, err := rt.LoadSource(shardLatSpec, monitor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Save("lat_ma", 0.5)
+	x := 0.0
+	k.Fire("io_done", x)
+	sink := telemetry.New(func() telemetry.Time { return int64(k.Now()) }, 8)
+	k.SetTelemetry(sink)
+	rt.SetTelemetry(sink)
+	st.SetTelemetry(sink)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < firesPerRun; i++ {
+			x++
+			k.Fire("io_done", x)
+		}
+	}); n != 0 {
+		t.Errorf("Kernel.Fire with telemetry attached allocates %v times per %d fires, want 0", n, firesPerRun)
+	}
+	snap := sink.Snapshot()
+	if fires := snap.Counters["hook_fires_total"]; fires < 100*firesPerRun {
+		t.Fatalf("sink counted %d fires; the fires did not reach it", fires)
+	}
+	if snap.HookDispatchNS["io_done"].Count == 0 || snap.EvalVMSteps[ms[0].Name()].Count == 0 {
+		t.Fatal("no dispatch or eval histogram sample; the measurement missed the handle path")
+	}
+	if snap.EventsTotal <= uint64(sink.Flight().Cap()) {
+		t.Fatal("flight ring never wrapped")
 	}
 }
 

@@ -163,8 +163,35 @@ type hookSlot struct {
 type hookSite struct {
 	slots atomic.Pointer[[]hookSlot]
 	fires atomic.Uint64
-	_     [cacheLine - 16]byte
+	// tel is the site's dispatch-latency histogram in the sink it was
+	// resolved from; a sampled Fire re-resolves it when the kernel's
+	// sink has changed.
+	tel atomic.Pointer[siteTel]
+	_   [cacheLine - 24]byte
 }
+
+// siteTel pairs a telemetry sink with a hook site's histogram in it.
+type siteTel struct {
+	sink *telemetry.Sink
+	hist *telemetry.Hist
+}
+
+// dispatchHist returns the site's dispatch-latency histogram in sink,
+// resolving it by name only when the sink differs from the last one.
+func (hs *hookSite) dispatchHist(sink *telemetry.Sink, site string) *telemetry.Hist {
+	if t := hs.tel.Load(); t != nil && t.sink == sink {
+		return t.hist
+	}
+	h := sink.HookHist(site)
+	hs.tel.Store(&siteTel{sink: sink, hist: h})
+	return h
+}
+
+// dispatchSampleEvery is the wall-clock sampling period of Fire: with
+// a sink attached, Fire times the dispatch of a site's n-th fire
+// (counting from 1) when n is a multiple of it. Every fire is still
+// counted and recorded in the flight ring.
+const dispatchSampleEvery = 16
 
 // maxFireArgs is the size of the kernel-owned Fire argument buffer;
 // Fire calls with more arguments copy them to the heap.
@@ -420,9 +447,12 @@ func (k *Kernel) SetHookPanicHandler(h PanicHandler) {
 func (k *Kernel) HookPanics() uint64 { return k.hookPanics.Load() }
 
 // SetTelemetry attaches (or with nil, detaches) a telemetry sink.
-// Every subsequent Fire records a hook-fire event and charges the
-// wall-clock cost of dispatching the site's callbacks — the real
-// overhead the attached monitors add — to the site's latency histogram.
+// Every subsequent Fire counts the fire and records a hook-fire event.
+// One fire in 16 per site also charges the wall-clock cost of
+// dispatching the site's callbacks — the real overhead the attached
+// monitors add — to the site's hook_dispatch_ns histogram, whose count
+// is therefore the number of sampled fires (hook_fires_total stays
+// exact). Each site resolves that histogram once per attached sink.
 // Safe to call while the kernel runs.
 func (k *Kernel) SetTelemetry(s *telemetry.Sink) { k.tsink.Store(s) }
 
@@ -442,11 +472,17 @@ func (k *Kernel) Telemetry() *telemetry.Sink { return k.tsink.Load() }
 // or a Fire from a goroutine other than the one stepping the kernel —
 // the arguments are copied to the heap instead. Either way hooks must
 // not retain the slice. A site with no hooks only counts the fire.
+//
+// With a telemetry sink attached, every fire is counted and recorded
+// in the flight ring; the dispatch is timed on the wall clock only on
+// every 16th fire of the site (see SetTelemetry), so most fires read no
+// clock and no fire looks a histogram up by name.
 func (k *Kernel) Fire(site string, args ...float64) {
 	hs := k.siteFor(site)
-	hs.fires.Add(1)
+	fire := hs.fires.Add(1)
 	slots := *hs.slots.Load()
 	sink := k.tsink.Load()
+	timed := false
 	var wallStart time.Time
 	if sink != nil {
 		arg := 0.0
@@ -454,13 +490,15 @@ func (k *Kernel) Fire(site string, args ...float64) {
 			arg = args[0]
 		}
 		sink.HookFire(int64(k.Now()), site, arg)
-		wallStart = time.Now()
+		if timed = fire%dispatchSampleEvery == 0; timed {
+			wallStart = time.Now()
+		}
 	}
 	if len(slots) > 0 {
 		k.dispatch(slots, site, args)
 	}
-	if sink != nil {
-		sink.HookDispatched(site, float64(time.Since(wallStart)))
+	if timed {
+		hs.dispatchHist(sink, site).Observe(float64(time.Since(wallStart)))
 	}
 }
 

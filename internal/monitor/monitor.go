@@ -12,6 +12,7 @@ import (
 	"guardrails/internal/kernel"
 	"guardrails/internal/provenance"
 	"guardrails/internal/spec"
+	"guardrails/internal/telemetry"
 	"guardrails/internal/vm"
 )
 
@@ -37,6 +38,7 @@ type Options struct {
 	// PublishResult, when true, writes guardrail.<name>.violated (0/1)
 	// to the feature store after each evaluation so that other
 	// guardrails can observe this one (used by the oscillation study).
+	// The key is interned when the monitor loads.
 	PublishResult bool
 	// DefaultPriority is the demotion value used by DEPRIORITIZE actions
 	// without an explicit priority. Default 19 (lowest nice).
@@ -206,6 +208,17 @@ type Monitor struct {
 	// while running is held. It is written on every LOAD, so it is
 	// allocated by paddedCells onto cache lines of its own.
 	lastGood []float64
+
+	// telSink is the telemetry sink the evaluator last saw and
+	// telSteps this monitor's eval-steps histogram in it, resolved by
+	// name only when the sink changes. Only touched while running is
+	// held.
+	telSink  *telemetry.Sink
+	telSteps *telemetry.Hist
+
+	// resultID is the interned guardrail.<name>.violated cell that
+	// PublishResult writes.
+	resultID featurestore.ID
 
 	// trigAt is the simulated time of the trigger that started the
 	// in-flight evaluation. Only touched while running is held; action
@@ -418,6 +431,18 @@ func (m *Monitor) SetEnabled(v bool) {
 	m.mu.Unlock()
 }
 
+// intern resolves the program's cells, and the PublishResult key when
+// that option is on, to feature-store IDs, so evaluations never intern
+// a name.
+func (m *Monitor) intern() {
+	for i, sym := range m.c.Program.Symbols {
+		m.cells[i] = m.rt.store.Intern(sym)
+	}
+	if m.opts.PublishResult {
+		m.resultID = m.rt.store.Intern("guardrail." + m.Name() + ".violated")
+	}
+}
+
 // arm binds the guardrail's triggers to the kernel.
 func (m *Monitor) arm() {
 	for _, t := range m.c.Triggers {
@@ -533,6 +558,9 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 	m.trigAt = trig
 	m.provSite = site
 	sink := m.rt.Telemetry()
+	if sink != m.telSink {
+		m.telSink, m.telSteps = sink, sink.EvalHist(m.Name())
+	}
 	prov := m.rt.Provenance()
 	if prov != nil {
 		m.provBegin(arg, cause)
@@ -596,7 +624,7 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 	m.mu.Unlock()
 
 	if err != nil {
-		sink.Eval(int64(trig), m.Name(), m.machine.Steps-before, true)
+		sink.EvalWith(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, true)
 		m.recordFault(trapKind(err), err)
 		m.provAbandon()
 		m.accountBudget(m.machine.Steps-before, now)
@@ -631,12 +659,12 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 		if !held {
 			v = 1
 		}
-		m.rt.store.Save("guardrail."+m.Name()+".violated", v)
+		m.rt.store.SaveID(m.resultID, v)
 	}
 	// The eval record covers both phases of a two-phase evaluation, so
 	// its step count (and virtual trace duration) is the evaluation's
 	// whole overhead.
-	sink.Eval(int64(trig), m.Name(), m.machine.Steps-before, held)
+	sink.EvalWith(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, held)
 	if m.provLive {
 		m.provEnd(prov, held, twoPhase, m.machine.Steps-before)
 	}

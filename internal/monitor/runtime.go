@@ -135,9 +135,7 @@ func (r *Runtime) Load(c *compile.Compiled, opts Options) (*Monitor, error) {
 		gen:      1,
 	}
 	m.gate.Store(&gating{enabled: true})
-	for i, sym := range c.Program.Symbols {
-		m.cells[i] = r.store.Intern(sym)
-	}
+	m.intern()
 	m.provInit()
 	m.arm()
 	r.monitors[c.Name] = m
@@ -215,9 +213,7 @@ func (r *Runtime) Update(c *compile.Compiled, opts Options) (*Monitor, error) {
 		base:     old.Stats(),
 	}
 	m.gate.Store(&gating{enabled: old.Enabled(), forceShadow: old.ForcedShadow()})
-	for i, sym := range c.Program.Symbols {
-		m.cells[i] = r.store.Intern(sym)
-	}
+	m.intern()
 	m.provInit()
 	// Swap: disarm the old monitor, arm the new one, replace the entry.
 	old.disarm()

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -190,20 +191,28 @@ func NewLogHistogram(maxExp int) *LogHistogram {
 	return &LogHistogram{bins: make([]uint64, maxExp)}
 }
 
-// Add incorporates one non-negative observation; values >= 2^maxExp land
-// in the top bin.
+// Add incorporates one non-negative observation. For x >= 1 the bin is
+// the bit length of x's integer part minus one, which is floor(log2 x)
+// with no logarithm taken. Values >= 2^maxExp land in the top bin, and +Inf
+// enters the sum as 2^maxExp so the mean stays finite. NaN is not an
+// observation: it is ignored.
 func (h *LogHistogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	if x < 1 {
-		h.zero++
+	if x != x {
 		return
 	}
-	i := int(math.Log2(x))
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
+	h.total++
+	switch top := float64(uint64(1) << len(h.bins)); {
+	case x < 1:
+		h.zero++
+	case x < top:
+		h.bins[bits.Len64(uint64(x))-1]++
+	default:
+		h.bins[len(h.bins)-1]++
+		if math.IsInf(x, 1) {
+			x = top
+		}
 	}
-	h.bins[i]++
+	h.sum += x
 }
 
 // Count returns the number of observations.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -278,5 +279,92 @@ func TestLogHistogramMaxExpPanics(t *testing.T) {
 			}()
 			NewLogHistogram(n)
 		}()
+	}
+}
+
+// floorLog2 is floor(log2 x) for finite x >= 1, read exactly from the
+// float's exponent: the bucket the log2 histogram must pick.
+func floorLog2(x float64) int {
+	_, exp := math.Frexp(x)
+	return exp - 1
+}
+
+// logBucket adds x to a fresh maxExp histogram and returns the bin it
+// landed in, or -1 for the sub-1 bucket.
+func logBucket(t *testing.T, maxExp int, x float64) int {
+	t.Helper()
+	h := NewLogHistogram(maxExp)
+	h.Add(x)
+	if h.zero == 1 {
+		return -1
+	}
+	for i, c := range h.bins {
+		if c == 1 {
+			return i
+		}
+	}
+	t.Fatalf("Add(%v) landed in no bucket", x)
+	return 0
+}
+
+// TestLogHistogramBucketBoundaries: every finite x in [1, 2^maxExp)
+// lands in bin floor(log2 x) — at each power of two, one ulp and a
+// relative 1e-9 either side of it, and across a seeded log-uniform
+// sweep — and every x at or past 2^maxExp lands in the top bin.
+func TestLogHistogramBucketBoundaries(t *testing.T) {
+	const maxExp = 40
+	for i := 0; i < maxExp; i++ {
+		p := math.Exp2(float64(i))
+		for _, x := range []float64{
+			p,
+			math.Nextafter(p, math.Inf(1)), p * (1 + 1e-9),
+			math.Nextafter(p, 0), p * (1 - 1e-9),
+		} {
+			want := -1
+			if x >= 1 {
+				want = floorLog2(x)
+			}
+			if got := logBucket(t, maxExp, x); got != want {
+				t.Errorf("Add(%v) (2^%d neighbourhood) landed in bin %d, want %d", x, i, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 20000; n++ {
+		x := math.Exp2(rng.Float64() * maxExp)
+		if got, want := logBucket(t, maxExp, x), floorLog2(x); x >= 1 && got != want {
+			t.Fatalf("Add(%v) landed in bin %d, want %d", x, got, want)
+		}
+	}
+	for _, x := range []float64{math.Exp2(maxExp), math.Exp2(maxExp) + 1, 1e300, math.MaxFloat64, math.Inf(1)} {
+		if got := logBucket(t, maxExp, x); got != maxExp-1 {
+			t.Errorf("Add(%v) landed in bin %d, want the top bin %d", x, got, maxExp-1)
+		}
+	}
+}
+
+// TestLogHistogramNonFinite is the regression test for Add panicking
+// with an index of MinInt64 on +Inf and NaN: +Inf counts in the top bin
+// and enters the sum as 2^maxExp, so the summary stays finite and
+// JSON-marshalable; NaN is not an observation and changes nothing.
+func TestLogHistogramNonFinite(t *testing.T) {
+	h := NewLogHistogram(20)
+	h.Add(3)
+	h.Add(math.Inf(1))
+	h.Add(math.NaN())
+	zero, bins, total, sum := h.Buckets()
+	if total != 2 || zero != 0 || bins[1] != 1 || bins[19] != 1 {
+		t.Errorf("buckets: zero=%d bins=%v total=%d, want 3 in bin 1 and +Inf in bin 19", zero, bins, total)
+	}
+	if want := 3 + math.Exp2(20); sum != want {
+		t.Errorf("sum = %v, want %v", sum, want)
+	}
+	if _, err := json.Marshal(h.Summary()); err != nil {
+		t.Errorf("summary with +Inf observed is not JSON-marshalable: %v", err)
+	}
+	h.Reset()
+	h.Add(math.NaN())
+	if h.Count() != 0 || h.Summary() != (Summary{}) {
+		t.Errorf("NaN was counted: count=%d summary=%+v", h.Count(), h.Summary())
 	}
 }

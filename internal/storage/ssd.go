@@ -94,6 +94,7 @@ type Device struct {
 	rng   *rand.Rand
 	stats DeviceStats
 	tsink *telemetry.Sink
+	tlat  *telemetry.Hist // the device's IOHist in tsink
 
 	// completion ring for queue-depth estimation
 	completions [64]kernel.Time
@@ -136,8 +137,8 @@ func (d *Device) Stats() DeviceStats { return d.stats }
 
 // SetTelemetry attaches (or with nil, detaches) a telemetry sink: every
 // GC pause becomes a flight-recorder span and every I/O completion
-// feeds the device's latency histogram.
-func (d *Device) SetTelemetry(s *telemetry.Sink) { d.tsink = s }
+// feeds the device's latency histogram, resolved here once.
+func (d *Device) SetTelemetry(s *telemetry.Sink) { d.tsink, d.tlat = s, s.IOHist(d.cfg.Name) }
 
 func (d *Device) nextBackgroundGC(now kernel.Time) kernel.Time {
 	if d.cfg.BackgroundGCRate <= 0 {
@@ -207,7 +208,7 @@ func (d *Device) Submit(now kernel.Time, lba uint64, write bool) kernel.Time {
 	d.compHead = (d.compHead + 1) % len(d.completions)
 	copy(d.recent[1:], d.recent[:3])
 	d.recent[0] = lat
-	d.tsink.IO(d.cfg.Name, int64(lat), write)
+	d.tsink.IOWith(d.tlat, int64(lat), write)
 	return lat
 }
 

@@ -37,6 +37,8 @@ func shardIndex() int {
 }
 
 // Add increments the counter by n.
+//
+//guardrails:hotpath
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return

@@ -18,7 +18,8 @@ type Snapshot struct {
 	// Counters maps exposition names (e.g. "evals_total") to values.
 	Counters map[string]uint64 `json:"counters"`
 	// HookDispatchNS summarizes wall-clock hook dispatch latency per
-	// site, in real nanoseconds.
+	// site, in real nanoseconds, over the sampled fires (1 in 16 per
+	// site): its Count is the sampled count, not the fire count.
 	HookDispatchNS map[string]stats.Summary `json:"hook_dispatch_ns,omitempty"`
 	// EvalVMSteps summarizes VM steps per evaluation, per monitor.
 	EvalVMSteps map[string]stats.Summary `json:"eval_vm_steps,omitempty"`

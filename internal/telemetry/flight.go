@@ -158,11 +158,13 @@ func (e Event) String() string {
 // events, overwritten oldest-first, with a total count that keeps
 // advancing. Safe for concurrent writers; recording is one short
 // critical section and zero allocations.
+//
+// The sequence counter is the ring's only cursor: event s (1-based)
+// sits at ring[(s-1) % capacity], so the retained events are the last
+// min(seq, capacity) sequence numbers and Record is a single store.
 type Flight struct {
 	mu   sync.Mutex
 	ring []Event
-	head int // index of the oldest retained event
-	size int
 	seq  uint64
 }
 
@@ -177,19 +179,29 @@ func NewFlight(capacity int) *Flight {
 
 // Record appends one event, assigning its sequence number, and returns
 // that number. Safe for concurrent use.
+//
+//guardrails:hotpath
 func (f *Flight) Record(e Event) uint64 {
 	f.mu.Lock()
-	f.seq++
-	e.Seq = f.seq
-	if f.size == len(f.ring) {
-		f.ring[f.head] = e
-		f.head = (f.head + 1) % len(f.ring)
-	} else {
-		f.ring[(f.head+f.size)%len(f.ring)] = e
-		f.size++
-	}
+	e.Seq = f.seq + 1
+	f.ring[f.seq%uint64(len(f.ring))] = e
+	f.seq = e.Seq
 	f.mu.Unlock()
 	return e.Seq
+}
+
+// retained returns how many events the ring holds and the ring index of
+// the oldest. The caller holds mu.
+func (f *Flight) retained() (size, oldest int) {
+	if n := uint64(len(f.ring)); f.seq > n {
+		return len(f.ring), int(f.seq % n)
+	}
+	return int(f.seq), 0
+}
+
+// at returns the i-th oldest retained event. The caller holds mu.
+func (f *Flight) at(oldest, i int) Event {
+	return f.ring[(oldest+i)%len(f.ring)]
 }
 
 // Total returns how many events have ever been recorded, including
@@ -204,7 +216,8 @@ func (f *Flight) Total() uint64 {
 func (f *Flight) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.size
+	size, _ := f.retained()
+	return size
 }
 
 // Cap returns the ring capacity.
@@ -214,9 +227,10 @@ func (f *Flight) Cap() int { return len(f.ring) }
 func (f *Flight) Events() []Event {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]Event, 0, f.size)
-	for i := 0; i < f.size; i++ {
-		out = append(out, f.ring[(f.head+i)%len(f.ring)])
+	size, oldest := f.retained()
+	out := make([]Event, 0, size)
+	for i := 0; i < size; i++ {
+		out = append(out, f.at(oldest, i))
 	}
 	return out
 }
@@ -237,26 +251,27 @@ func (f *Flight) Events() []Event {
 func (f *Flight) EventsSince(t Time) (events []Event, truncated bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	size, oldest := f.retained()
 	// Binary search for the first retained index with At >= t.
-	lo, hi := 0, f.size
+	lo, hi := 0, size
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if f.ring[(f.head+mid)%len(f.ring)].At < t {
+		if f.at(oldest, mid).At < t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	out := make([]Event, 0, f.size-lo)
-	for i := lo; i < f.size; i++ {
-		out = append(out, f.ring[(f.head+i)%len(f.ring)])
+	out := make([]Event, 0, size-lo)
+	for i := lo; i < size; i++ {
+		out = append(out, f.at(oldest, i))
 	}
-	if f.size > 0 && lo == 0 {
-		oldest := f.ring[f.head]
+	if size > 0 && lo == 0 {
+		first := f.ring[oldest]
 		// The window reaches to (or past) the oldest retained event and
 		// the ring has dropped events before it (Seq > 1 means history
 		// was overwritten) — dropped events may have been in-window.
-		truncated = oldest.At >= t && oldest.Seq > 1
+		truncated = first.At >= t && first.Seq > 1
 	}
 	return out, truncated
 }

@@ -129,3 +129,51 @@ func TestWindowedCounterDeltas(t *testing.T) {
 		}
 	}
 }
+
+// TestTelemetryFlightRingSmallCapacities walks rings of capacity 1, 3
+// and 5 through several wraps. After every record the ring must hold
+// exactly the last min(total, capacity) sequence numbers in order, and
+// EventsSince must return the in-window suffix, reporting truncation
+// exactly when the window reaches the oldest retained event after an
+// older one was overwritten.
+func TestTelemetryFlightRingSmallCapacities(t *testing.T) {
+	for _, capacity := range []int{1, 3, 5} {
+		f := NewFlight(capacity)
+		for n := 1; n <= 4*capacity+2; n++ {
+			if seq := f.Record(Event{At: Time(10 * n), Kind: KindEval}); seq != uint64(n) {
+				t.Fatalf("cap %d: record %d got seq %d", capacity, n, seq)
+			}
+			size := min(n, capacity)
+			oldest := n - size + 1
+			if f.Len() != size || f.Total() != uint64(n) {
+				t.Fatalf("cap %d after %d records: len=%d total=%d, want %d and %d",
+					capacity, n, f.Len(), f.Total(), size, n)
+			}
+			evs := f.Events()
+			if len(evs) != size {
+				t.Fatalf("cap %d after %d records: %d events, want %d", capacity, n, len(evs), size)
+			}
+			for i, e := range evs {
+				if want := uint64(oldest + i); e.Seq != want || e.At != Time(10*want) {
+					t.Fatalf("cap %d after %d records: event %d is seq %d at %d, want seq %d",
+						capacity, n, i, e.Seq, e.At, want)
+				}
+			}
+			for s := 0; s <= n+1; s++ {
+				for _, at := range []Time{Time(10*s - 5), Time(10 * s)} {
+					got, truncated := f.EventsSince(at)
+					first := max(s, oldest) // first retained seq with At >= at
+					wantLen := max(n-first+1, 0)
+					if len(got) != wantLen || (wantLen > 0 && got[0].Seq != uint64(first)) {
+						t.Fatalf("cap %d after %d records: EventsSince(%d) = %d events from seq %v, want %d from %d",
+							capacity, n, at, len(got), got, wantLen, first)
+					}
+					if want := s <= oldest && oldest > 1; truncated != want {
+						t.Fatalf("cap %d after %d records: EventsSince(%d) truncated=%v, want %v",
+							capacity, n, at, truncated, want)
+					}
+				}
+			}
+		}
+	}
+}

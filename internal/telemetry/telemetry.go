@@ -12,8 +12,27 @@
 // zero-allocation and branch-predictable when telemetry is off — the
 // same discipline eBPF applies to disabled tracepoints. With a sink
 // attached, counters are lock-free atomic adds, histograms take one
-// short mutex, and flight-recorder appends copy one Event value into a
-// preallocated ring; the steady-state paths still do not allocate.
+// short mutex and pick their log2 bucket from the value's bit length,
+// and flight-recorder appends copy one Event value into a preallocated
+// ring; the steady-state paths still do not allocate.
+//
+// Histograms are named (per hook site, monitor, device), but the
+// per-fire paths never look a name up: instrumentation sites resolve a
+// *Hist handle once (HookHist, EvalHist, IOHist) and record through it
+// (Hist.Observe, EvalWith, IOWith), re-resolving only when the attached
+// sink changes. The name-keyed map is touched on attach, first use and
+// scrape. The name-keyed recorders (HookDispatched, Eval, IO) are the
+// same recorders with the handle resolved per call, for instrumentation
+// sites that keep no handle.
+//
+// Counters, the per-evaluation VM-step histograms and the flight ring
+// are exact: every event is counted and recorded. The one sampled
+// series is the wall-clock hook dispatch histogram (hook_dispatch_ns):
+// the kernel reads the clock on 1 in 16 fires per site, so that
+// histogram's count is the number of sampled fires, not of fires — the
+// exact fire count is hook_fires_total. This is eBPF's split between
+// always-on run counts and the run-time clock it reads only when
+// statistics are enabled.
 //
 // Time: the package deliberately does not import the kernel (the kernel
 // itself is instrumented, which would cycle); simulated timestamps
@@ -49,6 +68,8 @@ type Hist struct {
 func newHist() *Hist { return &Hist{h: stats.NewLogHistogram(histMaxExp)} }
 
 // Observe incorporates one non-negative observation.
+//
+//guardrails:hotpath
 func (h *Hist) Observe(v float64) {
 	if h == nil {
 		return
@@ -191,7 +212,8 @@ type Sink struct {
 
 	mu sync.RWMutex
 	// hookNS: per hook site, wall-clock nanoseconds spent dispatching
-	// that site's callbacks (the monitors' real overhead).
+	// that site's callbacks (the monitors' real overhead), on the fires
+	// the kernel samples.
 	hookNS map[string]*Hist
 	// evalSteps: per monitor, VM steps per evaluation.
 	evalSteps map[string]*Hist
@@ -260,6 +282,7 @@ func (s *Sink) Emit(e Event) {
 
 // hist returns the named histogram from m, creating it on first use.
 // The read path takes only the RLock; creation is rare (one per site).
+// Hot paths reach it only when resolving a handle.
 func (s *Sink) hist(m map[string]*Hist, name string) *Hist {
 	s.mu.RLock()
 	h := m[name]
@@ -307,7 +330,9 @@ func (s *Sink) IOHist(device string) *Hist {
 // first hook argument) and the global counter. The kernel calls this
 // before dispatching the site's callbacks, so the fire event precedes
 // the evaluations it triggers in the flight recorder; the dispatch cost
-// arrives afterwards via HookDispatched.
+// of a sampled fire arrives afterwards in the site's HookHist.
+//
+//guardrails:hotpath
 func (s *Sink) HookFire(at Time, site string, arg float64) {
 	if s == nil {
 		return
@@ -348,24 +373,28 @@ func (s *Sink) Deployment(admitted bool) {
 
 // HookDispatched charges the wall-clock cost of one completed hook
 // dispatch (all callbacks at the site) to the site's latency histogram.
-func (s *Sink) HookDispatched(site string, wallNS float64) {
-	if s == nil {
-		return
-	}
-	s.hist(s.hookNS, site).Observe(wallNS)
+// The kernel records through a cached HookHist handle instead.
+func (s *Sink) HookDispatched(site string, wallNS float64) { s.HookHist(site).Observe(wallNS) }
+
+// Eval records one monitor evaluation at its trigger time; see EvalWith.
+func (s *Sink) Eval(at Time, monitor string, steps uint64, held bool) {
+	s.EvalWith(s.EvalHist(monitor), at, monitor, steps, held)
 }
 
-// Eval records one monitor evaluation at its trigger time. steps is the
-// evaluation's VM instruction count; it doubles as the event's virtual
-// duration (1 step = 1ns) so evaluations have width on a timeline. A
-// violated evaluation additionally records a violation event.
-func (s *Sink) Eval(at Time, monitor string, steps uint64, held bool) {
+// EvalWith records one monitor evaluation at its trigger time, adding
+// its VM step count to stepsHist, the monitor's EvalHist handle. steps
+// doubles as the event's virtual duration (1 step = 1ns) so evaluations
+// have width on a timeline. A violated evaluation additionally records
+// a violation event.
+//
+//guardrails:hotpath
+func (s *Sink) EvalWith(stepsHist *Hist, at Time, monitor string, steps uint64, held bool) {
 	if s == nil {
 		return
 	}
 	s.Counters.Evals.Inc()
 	s.Counters.VMSteps.Add(steps)
-	s.hist(s.evalSteps, monitor).Observe(float64(steps))
+	stepsHist.Observe(float64(steps))
 	s.rec.Record(Event{At: at, Dur: Time(steps), Kind: KindEval, Subject: monitor, Value: float64(steps)})
 	if !held {
 		s.Counters.Violations.Inc()
@@ -545,10 +574,17 @@ func (s *Sink) Failover(at Time, device string, alive bool) {
 	s.rec.Record(Event{At: at, Kind: KindFailover, Subject: device, Detail: detail, Value: v})
 }
 
-// IO records one device I/O completion with its simulated latency.
-// Only the histogram and counters are touched — per-I/O ring events
-// would evict everything else from the flight recorder.
+// IO records one device I/O completion with its simulated latency; see
+// IOWith.
 func (s *Sink) IO(device string, latNS Time, write bool) {
+	s.IOWith(s.IOHist(device), latNS, write)
+}
+
+// IOWith records one device I/O completion, adding its simulated
+// latency to latHist, the device's IOHist handle. Only the histogram
+// and counters are touched — per-I/O ring events would evict everything
+// else from the flight recorder.
+func (s *Sink) IOWith(latHist *Hist, latNS Time, write bool) {
 	if s == nil {
 		return
 	}
@@ -557,7 +593,7 @@ func (s *Sink) IO(device string, latNS Time, write bool) {
 	} else {
 		s.Counters.IOReads.Inc()
 	}
-	s.hist(s.ioNS, device).Observe(float64(latNS))
+	latHist.Observe(float64(latNS))
 }
 
 // StoreLoad counts one feature-store read.

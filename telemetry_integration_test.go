@@ -205,3 +205,73 @@ func TestTelemetryMetricsSnapshotRoundTrip(t *testing.T) {
 		t.Error("round-tripped snapshot lost counters")
 	}
 }
+
+// TestTelemetrySampledDispatchTiming pins the sampling contract of the
+// fire path: with a sink attached every fire is counted, every
+// evaluation and violation is counted and recorded in the flight ring,
+// and only the wall-clock dispatch histogram is sampled, at 1 in 16
+// fires of the site. Swapping in a fresh sink mid-run re-resolves the
+// site's and the monitor's histogram handles: the new sink sees exactly
+// its own share and the old one stops growing.
+func TestTelemetrySampledDispatchTiming(t *testing.T) {
+	const fires = 16 * 100
+	sys := NewSystem()
+	mons, err := sys.LoadGuardrails(shardLatSpec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mons[0]
+	run := func() {
+		for i := 0; i < fires; i++ {
+			lat := 0.5
+			if i%7 == 0 {
+				lat = 1.5 // violates: the flight ring also gets violation events
+			}
+			sys.Store.Save("lat_ma", lat)
+			sys.Kernel.Fire("io_done", float64(i))
+		}
+	}
+	check := func(sink *Telemetry, before MonitorStats) {
+		t.Helper()
+		st := m.Stats()
+		evals, viols := st.Evals-before.Evals, st.Violations-before.Violations
+		if evals != fires || viols == 0 {
+			t.Fatalf("monitor saw %d evals and %d violations over %d fires", evals, viols, fires)
+		}
+		snap := sink.Snapshot()
+		for name, want := range map[string]uint64{
+			"hook_fires_total": fires,
+			"evals_total":      evals,
+			"violations_total": viols,
+		} {
+			if got := snap.Counters[name]; got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
+		}
+		if got := snap.EvalVMSteps[m.Name()].Count; got != evals {
+			t.Errorf("eval_vm_steps count = %d, want every evaluation (%d)", got, evals)
+		}
+		if got, want := snap.HookDispatchNS["io_done"].Count, uint64(fires/16); got != want {
+			t.Errorf("hook_dispatch_ns count = %d, want 1 in 16 fires (%d)", got, want)
+		}
+		if want := fires + evals + viols; snap.EventsTotal != want {
+			t.Errorf("flight ring recorded %d events, want one per fire, evaluation and violation (%d)",
+				snap.EventsTotal, want)
+		}
+	}
+
+	first := sys.AttachTelemetry(4 * fires)
+	run()
+	check(first, MonitorStats{})
+	firstSnap := first.Snapshot()
+
+	before := m.Stats()
+	second := sys.AttachTelemetry(4 * fires)
+	run()
+	check(second, before)
+	if got := first.Snapshot(); got.EventsTotal != firstSnap.EventsTotal ||
+		got.HookDispatchNS["io_done"] != firstSnap.HookDispatchNS["io_done"] ||
+		got.EvalVMSteps[m.Name()] != firstSnap.EvalVMSteps[m.Name()] {
+		t.Error("the detached sink kept recording after a new one was attached")
+	}
+}
