@@ -161,6 +161,8 @@ func (s *Store) Load(name string) float64 {
 }
 
 // SaveID stores value in the cell for id. Out-of-range IDs are ignored.
+//
+//guardrails:hotpath
 func (s *Store) SaveID(id ID, value float64) {
 	c := s.cellAt(id)
 	if c == nil {
@@ -196,6 +198,8 @@ func (s *Store) PublishID(id ID, value float64) {
 }
 
 // LoadID returns the value in the cell for id, or 0 if out of range.
+//
+//guardrails:hotpath
 func (s *Store) LoadID(id ID) float64 {
 	c := s.cellAt(id)
 	if c == nil {

@@ -30,7 +30,7 @@ func TestShardStateCacheLineAligned(t *testing.T) {
 		}{
 			{"kernel", unsafe.Pointer(k)},
 			{"event heap", unsafe.Pointer(unsafe.SliceData(k.queue))},
-			{"hook site", unsafe.Pointer((*k.sites.Load())["io_done"])},
+			{"hook site", unsafe.Pointer(k.lookup("io_done"))},
 		}
 		for _, a := range addrs {
 			if uintptr(a.p)%cacheLine != 0 {

@@ -19,15 +19,22 @@
 //
 // The per-event path costs only what its kernel owns: events live by
 // value in a binary heap (no allocation per scheduled event or timer
-// tick), one lock acquisition pops the next due event, and Fire hands
-// hooks a kernel-owned argument buffer that the stepping goroutine
-// claims with one CAS, so the caller's variadic slice stays on its
-// stack. A Fire that finds the buffer taken — a hook firing another
-// site, or a Fire from another goroutine — copies its arguments to the
-// heap instead; both paths run the same hooks. A Fire at a site with
-// no hooks claims nothing: it only counts the fire. The state each
-// shard writes on every event (clock, heap, argument buffer, per-site
-// fire counters) sits on cache lines no other shard touches.
+// tick), one lock acquisition pops the next due event, and Fire finds
+// its site by a scan of the copy-on-write site table — linear in the
+// site count, which is one or two per instrumented subsystem, and
+// cheaper than hashing the name. Scalar hooks (AttachScalar, which
+// monitors use) are passed the first argument by value. Slice hooks
+// (Attach) see a kernel-owned argument buffer that the stepping
+// goroutine claims with one CAS, so the caller's variadic slice stays
+// on its stack; a Fire that finds the buffer taken — a hook firing
+// another site, or a Fire from another goroutine — copies its
+// arguments to the heap instead. Only a site with a slice hook claims
+// the buffer, so a steady fire at a monitor's site makes three fenced
+// atomic operations: the site's fire counter in the kernel, and the
+// claim and release of the monitor's evaluation. A Fire at a site with
+// no hooks only counts the fire. The state each shard writes on
+// every event (clock, heap, argument buffer, per-site fire counters)
+// sits on cache lines no other shard touches.
 //
 // For multi-core execution a Pool runs N Kernel shards — each with its
 // own clock, event heap, hook table, and task registry — concurrently
@@ -145,29 +152,63 @@ func (q *eventQueue) pop() event {
 // values (e.g. latency, size); hooks must not retain the slice.
 type HookFn func(k *Kernel, site string, args []float64)
 
+// ScalarHookFn observes a hook-point firing through its first argument
+// alone (0 when the fire has none). See AttachScalar.
+type ScalarHookFn func(k *Kernel, site string, arg0 float64)
+
 // PanicHandler observes a panic recovered from a hook callback; see
 // SetHookPanicHandler.
 type PanicHandler func(site string, recovered any)
 
+// hookSlot is one attached hook: fn for a slice hook, scalar (with fn
+// nil) for a scalar one.
 type hookSlot struct {
-	id uint64
-	fn HookFn
+	id     uint64
+	fn     HookFn
+	scalar ScalarHookFn
 }
 
-// hookSite is one hook point's dispatch state. The slot list is
+// call runs the hook with whichever argument form it takes.
+func (s *hookSlot) call(k *Kernel, site string, args []float64, arg0 float64) {
+	if s.fn != nil {
+		s.fn(k, site, args)
+		return
+	}
+	s.scalar(k, site, arg0)
+}
+
+// hookList is a site's attached hooks in attach order. It is immutable:
+// every attach and detach publishes a new list. anySlice records
+// whether some hook takes the argument slice — the only kind that needs
+// the kernel's argument buffer.
+type hookList struct {
+	slots    []hookSlot
+	anySlice bool
+}
+
+func newHookList(slots []hookSlot) *hookList {
+	l := &hookList{slots: slots}
+	for _, s := range slots {
+		l.anySlice = l.anySlice || s.fn != nil
+	}
+	return l
+}
+
+// hookSite is one hook point's dispatch state. The hook list is
 // copy-on-write behind an atomic pointer so Fire — the per-event hot
 // path every shard runs concurrently — reads it with a single atomic
 // load: no lock, no allocation. The padding gives each site (and so
 // each shard's copy of a site) its own cache lines for the fire
 // counter written on every Fire.
 type hookSite struct {
-	slots atomic.Pointer[[]hookSlot]
+	name  string
+	hooks atomic.Pointer[hookList]
 	fires atomic.Uint64
 	// tel is the site's dispatch-latency histogram in the sink it was
 	// resolved from; a sampled Fire re-resolves it when the kernel's
 	// sink has changed.
 	tel atomic.Pointer[siteTel]
-	_   [cacheLine - 24]byte
+	_   [cacheLine - 40]byte
 }
 
 // siteTel pairs a telemetry sink with a hook site's histogram in it.
@@ -178,11 +219,11 @@ type siteTel struct {
 
 // dispatchHist returns the site's dispatch-latency histogram in sink,
 // resolving it by name only when the sink differs from the last one.
-func (hs *hookSite) dispatchHist(sink *telemetry.Sink, site string) *telemetry.Hist {
+func (hs *hookSite) dispatchHist(sink *telemetry.Sink) *telemetry.Hist {
 	if t := hs.tel.Load(); t != nil && t.sink == sink {
 		return t.hist
 	}
-	h := sink.HookHist(site)
+	h := sink.HookHist(hs.name)
 	hs.tel.Store(&siteTel{sink: sink, hist: h})
 	return h
 }
@@ -216,17 +257,17 @@ type kernelState struct {
 	seq   uint64
 	queue eventQueue
 
-	// argBuf is the argument buffer Fire hands to hooks; argBusy is
-	// claimed by CAS for the duration of one dispatch (see Fire).
+	// argBuf is the argument buffer Fire hands to slice hooks; argBusy
+	// is claimed by CAS for the duration of one dispatch (see Fire).
 	argBuf  [maxFireArgs]float64
 	argBusy atomic.Bool
 
-	// sites is the copy-on-write hook table: the map value is replaced
+	// sites is the copy-on-write hook table: the slice is replaced
 	// wholesale (under hmu) when a new site appears, and the *hookSite
 	// entries themselves are stable, so Fire dispatches entirely from
 	// atomic loads. hmu serializes mutations only.
 	hmu        sync.Mutex
-	sites      atomic.Pointer[map[string]*hookSite]
+	sites      atomic.Pointer[[]*hookSite]
 	hookID     uint64
 	panicGuard atomic.Value // PanicHandler
 	hookPanics atomic.Uint64
@@ -249,8 +290,7 @@ func New() *Kernel {
 	k.queue = make(eventQueue, 0, initialQueueCap)
 	k.tasks = make(map[TaskID]*Task)
 	k.nextTID = 1
-	empty := make(map[string]*hookSite)
-	k.sites.Store(&empty)
+	k.sites.Store(new([]*hookSite))
 	k.generation.Store(1)
 	return k
 }
@@ -319,6 +359,8 @@ func (k *Kernel) Every(start, interval, stop Time, fn func(now Time)) *Timer {
 // popDue removes the earliest event due at or before through and
 // advances the clock to its time, under one lock acquisition. ok is
 // false when nothing is due.
+//
+//guardrails:hotpath
 func (k *Kernel) popDue(through Time) (fn func(), ok bool) {
 	k.qmu.Lock()
 	if len(k.queue) == 0 || k.queue[0].at > through {
@@ -380,27 +422,46 @@ func (k *Kernel) Pending() int {
 	return len(k.queue)
 }
 
-// siteFor returns the dispatch state for site, creating it (under hmu,
-// with a copy-on-write map swap) on first use. The returned *hookSite
-// is stable for the kernel's lifetime.
+// siteFor returns the dispatch state for site, creating it on first
+// use. The returned *hookSite is stable for the kernel's lifetime.
+//
+//guardrails:hotpath
 func (k *Kernel) siteFor(site string) *hookSite {
-	if hs := (*k.sites.Load())[site]; hs != nil {
+	if hs := k.lookup(site); hs != nil {
 		return hs
 	}
+	return k.addSite(site)
+}
+
+// lookup scans the site table for site, or returns nil. The scan is
+// linear in the number of sites, which is small — each instrumented
+// subsystem defines one or two — and comparing a short name is cheaper
+// than hashing it: lengths first, then the bytes.
+//
+//guardrails:hotpath
+func (k *Kernel) lookup(site string) *hookSite {
+	for _, hs := range *k.sites.Load() {
+		if len(hs.name) == len(site) && hs.name == site {
+			return hs
+		}
+	}
+	return nil
+}
+
+// addSite creates site's dispatch state under hmu, with a copy-on-write
+// swap of the site table, unless a concurrent call already has.
+func (k *Kernel) addSite(site string) *hookSite {
 	k.hmu.Lock()
 	defer k.hmu.Unlock()
-	old := *k.sites.Load()
-	if hs := old[site]; hs != nil {
+	if hs := k.lookup(site); hs != nil {
 		return hs
 	}
-	hs := &hookSite{}
-	empty := make([]hookSlot, 0)
-	hs.slots.Store(&empty)
-	next := make(map[string]*hookSite, len(old)+1)
-	for s, v := range old {
-		next[s] = v
-	}
-	next[site] = hs
+	hs := &hookSite{name: site}
+	hs.hooks.Store(&hookList{})
+	old := *k.sites.Load()
+	next := make([]*hookSite, len(old)+1)
+	copy(next, old)
+	next[len(old)] = hs
 	k.sites.Store(&next)
 	return hs
 }
@@ -408,26 +469,39 @@ func (k *Kernel) siteFor(site string) *hookSite {
 // Attach registers fn on a hook site and returns a detach function.
 // Sites are created on first use; attaching before any Fire is valid.
 func (k *Kernel) Attach(site string, fn HookFn) (detach func()) {
+	return k.attach(site, hookSlot{fn: fn})
+}
+
+// AttachScalar registers fn, which sees only a fire's first argument,
+// on a hook site and returns a detach function. A site whose hooks are
+// all scalar dispatches without claiming the kernel's argument buffer.
+// Hooks of both kinds on one site run in attach order.
+func (k *Kernel) AttachScalar(site string, fn ScalarHookFn) (detach func()) {
+	return k.attach(site, hookSlot{scalar: fn})
+}
+
+func (k *Kernel) attach(site string, slot hookSlot) (detach func()) {
 	hs := k.siteFor(site)
 	k.hmu.Lock()
 	k.hookID++
 	id := k.hookID
-	old := *hs.slots.Load()
+	slot.id = id
+	old := hs.hooks.Load().slots
 	grown := make([]hookSlot, len(old)+1)
 	copy(grown, old)
-	grown[len(old)] = hookSlot{id: id, fn: fn}
-	hs.slots.Store(&grown)
+	grown[len(old)] = slot
+	hs.hooks.Store(newHookList(grown))
 	k.hmu.Unlock()
 	return func() {
 		k.hmu.Lock()
 		defer k.hmu.Unlock()
-		slots := *hs.slots.Load()
+		slots := hs.hooks.Load().slots
 		for i, s := range slots {
 			if s.id == id {
 				next := make([]hookSlot, 0, len(slots)-1)
 				next = append(next, slots[:i]...)
 				next = append(next, slots[i+1:]...)
-				hs.slots.Store(&next)
+				hs.hooks.Store(newHookList(next))
 				return
 			}
 		}
@@ -461,26 +535,39 @@ func (k *Kernel) Telemetry() *telemetry.Sink { return k.tsink.Load() }
 
 // Fire invokes all hooks attached to site, in attach order. Subsystem
 // simulators call this at their instrumentation points — the analogue of
-// a kprobe firing. The dispatch path is lock-free: the site entry and
-// its slot list are read with two atomic loads, so concurrent shards
-// firing different (or the same) sites never serialize on a mutex.
+// a kprobe firing. The dispatch path is lock-free: the site entry (found
+// by a scan of the site table) and its hook list are read with atomic
+// loads, so concurrent shards firing different (or the same) sites
+// never serialize on a mutex.
 //
-// Hooks see the arguments in the kernel's own buffer, which the
+// Scalar hooks (AttachScalar) are passed the first argument by value.
+// Slice hooks see the arguments in the kernel's own buffer, which the
 // stepping goroutine claims with one CAS per dispatch, so the args
 // slice does not escape and a Fire with up to 4 arguments allocates
 // nothing. When the buffer is taken — a hook that fires another site,
 // or a Fire from a goroutine other than the one stepping the kernel —
 // the arguments are copied to the heap instead. Either way hooks must
-// not retain the slice. A site with no hooks only counts the fire.
+// not retain the slice. Only a site with at least one slice hook claims
+// the buffer, so a fire at a site whose hooks are all scalar, such as a
+// monitor's, costs one fenced atomic — the site's fire counter — plus
+// whatever its hooks do. A monitor evaluation adds its claim and
+// release, and two more around each call that leaves the runtime (a
+// SAVE, a REPORT or ACTION, a fault, OnRecover, a published result, a
+// fault injector's hook), where it yields its counters to Stats
+// readers; an evaluation that holds with no actions and no injector
+// makes none. A site with no hooks only counts
+// the fire.
 //
 // With a telemetry sink attached, every fire is counted and recorded
 // in the flight ring; the dispatch is timed on the wall clock only on
 // every 16th fire of the site (see SetTelemetry), so most fires read no
 // clock and no fire looks a histogram up by name.
+//
+//guardrails:hotpath
 func (k *Kernel) Fire(site string, args ...float64) {
 	hs := k.siteFor(site)
 	fire := hs.fires.Add(1)
-	slots := *hs.slots.Load()
+	hooks := hs.hooks.Load()
 	sink := k.tsink.Load()
 	timed := false
 	var wallStart time.Time
@@ -491,67 +578,90 @@ func (k *Kernel) Fire(site string, args ...float64) {
 		}
 		sink.HookFire(int64(k.Now()), site, arg)
 		if timed = fire%dispatchSampleEvery == 0; timed {
-			wallStart = time.Now()
+			wallStart = time.Now() //guardrails:coldpath 1 fire in 16, and only with a telemetry sink attached
 		}
 	}
-	if len(slots) > 0 {
-		k.dispatch(slots, site, args)
+	if len(hooks.slots) > 0 {
+		k.dispatch(hooks, site, args)
 	}
 	if timed {
-		hs.dispatchHist(sink, site).Observe(float64(time.Since(wallStart)))
+		hs.dispatchHist(sink).Observe(float64(time.Since(wallStart)))
 	}
 }
 
-// dispatch runs a site's hooks on a copy of args: the kernel's buffer
-// when its CAS succeeds, else a heap copy.
-func (k *Kernel) dispatch(slots []hookSlot, site string, args []float64) {
-	var buf []float64
-	if len(args) <= maxFireArgs && k.argBusy.CompareAndSwap(false, true) {
-		defer k.argBusy.Store(false)
-		buf = k.argBuf[:len(args)]
-	} else {
-		buf = make([]float64, len(args))
+// dispatch runs a site's hooks. Slice hooks get a copy of args: the
+// kernel's buffer when its CAS succeeds, else a heap copy. A list of
+// scalar hooks alone touches neither.
+//
+//guardrails:hotpath
+func (k *Kernel) dispatch(hooks *hookList, site string, args []float64) {
+	arg0 := 0.0
+	if len(args) > 0 {
+		arg0 = args[0]
 	}
+	switch {
+	case !hooks.anySlice:
+		k.runHooks(hooks.slots, site, nil, arg0)
+	case len(args) <= maxFireArgs && k.argBusy.CompareAndSwap(false, true):
+		k.runClaimed(hooks.slots, site, args, arg0)
+	default:
+		buf := make([]float64, len(args)) //guardrails:coldpath buffer taken by a nested or foreign-goroutine fire, or more than maxFireArgs arguments
+		copy(buf, args)
+		k.runHooks(hooks.slots, site, buf, arg0)
+	}
+}
+
+// runClaimed runs the hooks on a copy of args in the kernel's argument
+// buffer, which the caller has claimed, and releases the buffer —
+// also when a hook panics.
+func (k *Kernel) runClaimed(slots []hookSlot, site string, args []float64, arg0 float64) {
+	defer k.argBusy.Store(false)
+	buf := k.argBuf[:len(args)]
 	copy(buf, args)
+	k.runHooks(slots, site, buf, arg0)
+}
+
+// runHooks calls each hook with the argument form it takes, under the
+// panic guard when one is installed.
+func (k *Kernel) runHooks(slots []hookSlot, site string, args []float64, arg0 float64) {
 	var guard PanicHandler
 	if h, ok := k.panicGuard.Load().(PanicHandler); ok && h != nil {
 		guard = h
 	}
-	for _, s := range slots {
+	for i := range slots {
 		if guard == nil {
-			s.fn(k, site, buf)
+			slots[i].call(k, site, args, arg0)
 			continue
 		}
-		k.fireGuarded(s.fn, site, buf, guard)
+		k.fireGuarded(&slots[i], site, args, arg0, guard)
 	}
 }
 
 // fireGuarded runs one hook under the panic guard.
-func (k *Kernel) fireGuarded(fn HookFn, site string, args []float64, guard PanicHandler) {
+func (k *Kernel) fireGuarded(s *hookSlot, site string, args []float64, arg0 float64, guard PanicHandler) {
 	defer func() {
 		if r := recover(); r != nil {
 			k.hookPanics.Add(1)
 			guard(site, r)
 		}
 	}()
-	fn(k, site, args)
+	s.call(k, site, args, arg0)
 }
 
 // FireCount returns how many times site has fired.
 func (k *Kernel) FireCount(site string) uint64 {
-	hs := (*k.sites.Load())[site]
-	if hs == nil {
-		return 0
+	if hs := k.lookup(site); hs != nil {
+		return hs.fires.Load()
 	}
-	return hs.fires.Load()
+	return 0
 }
 
 // Sites returns all sites that have hooks attached or have fired, sorted.
 func (k *Kernel) Sites() []string {
-	m := *k.sites.Load()
-	out := make([]string, 0, len(m))
-	for s := range m {
-		out = append(out, s)
+	table := *k.sites.Load()
+	out := make([]string, len(table))
+	for i, hs := range table {
+		out[i] = hs.name
 	}
 	sort.Strings(out)
 	return out

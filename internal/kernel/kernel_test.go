@@ -340,10 +340,12 @@ func TestHeapOrderMatchesTimeThenSchedule(t *testing.T) {
 // TestFireArgsUnderConcurrentAndReentrantFires: every hook sees exactly
 // the arguments its own Fire passed, whether the Fire owned the kernel's
 // argument buffer or fell back to a heap copy because another goroutine
-// or an enclosing Fire held it.
+// or an enclosing Fire held it. A scalar hook, attached both beside the
+// slice hooks on "outer" and alone on "scalar", sees each fire's first
+// argument; the scalar-only site never claims or copies into a buffer.
 func TestFireArgsUnderConcurrentAndReentrantFires(t *testing.T) {
 	k := New()
-	var torn atomic.Int64
+	var torn, claimed atomic.Int64
 	check := func(_ *Kernel, _ string, args []float64) {
 		if len(args) != 2 || args[1] != -args[0] {
 			torn.Add(1)
@@ -358,6 +360,26 @@ func TestFireArgsUnderConcurrentAndReentrantFires(t *testing.T) {
 		}
 	})
 	k.Attach("inner", check)
+	probe := func(k *Kernel, _ string, arg0 float64) {
+		if arg0 != math.Trunc(arg0) {
+			torn.Add(1) // an inner fire's argument leaked in
+		}
+		if k.argBusy.Load() {
+			claimed.Add(1)
+		}
+	}
+	k.AttachScalar("outer", probe)
+	k.AttachScalar("scalar", probe)
+
+	// More arguments than the buffer holds: a slice hook would need a
+	// heap copy, a scalar-only site needs nothing.
+	if n := testing.AllocsPerRun(100, func() { k.Fire("scalar", 1, -1, 1, -1, 1) }); n != 0 {
+		t.Fatalf("Fire at a scalar-only site allocated %.1f times", n)
+	}
+	if n := claimed.Load(); n != 0 {
+		t.Fatalf("a scalar-only site claimed the argument buffer on %d fires", n)
+	}
+
 	const goroutines, fires = 4, 5000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -367,6 +389,7 @@ func TestFireArgsUnderConcurrentAndReentrantFires(t *testing.T) {
 			for i := 0; i < fires; i++ {
 				x := float64(g*fires + i)
 				k.Fire("outer", x, -x)
+				k.Fire("scalar", x)
 			}
 		}(g)
 	}
@@ -376,5 +399,31 @@ func TestFireArgsUnderConcurrentAndReentrantFires(t *testing.T) {
 	}
 	if got := k.FireCount("inner"); got != goroutines*fires {
 		t.Fatalf("inner fired %d times, want %d", got, goroutines*fires)
+	}
+}
+
+// TestSiteLookupMatchesByName: a site is found by its name, not by the
+// string that named it first — fires with the same name built at run
+// time or sliced from a longer literal land on the same site, and a
+// name of the same length that differs does not.
+func TestSiteLookupMatchesByName(t *testing.T) {
+	k := New()
+	hooked := 0
+	k.AttachScalar("io_done", func(*Kernel, string, float64) { hooked++ })
+	lit := "io_done"
+	built := string([]byte(lit))
+	sliced := "io_done_late"[:len(lit)]
+	for _, s := range []string{lit, built, sliced, lit, built, sliced} {
+		k.Fire(s)
+	}
+	k.Fire("io_dome")
+	if hooked != 6 || k.FireCount(built) != 6 {
+		t.Fatalf("io_done hooked %d times, counted %d fires, want 6 and 6", hooked, k.FireCount(built))
+	}
+	if got := k.FireCount("io_dome"); got != 1 {
+		t.Fatalf("io_dome counted %d fires, want 1", got)
+	}
+	if got := k.Sites(); len(got) != 2 || got[0] != "io_dome" || got[1] != "io_done" {
+		t.Fatalf("Sites() = %v, want [io_dome io_done]", got)
 	}
 }

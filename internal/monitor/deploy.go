@@ -242,7 +242,9 @@ func (r *Runtime) LoadDeployment(cs []*compile.Compiled, cfg DeployConfig) (*Dep
 		if shadow[c.Name] {
 			opts.ShadowMode = true
 		}
-		m, err := r.Load(c, opts)
+		// An over-budget monitor loads disabled: it must not evaluate on
+		// the hot hook even once, so it is never armed enabled.
+		m, err := r.load(c, opts, !disable[c.Name])
 		if err != nil {
 			for _, loaded := range res.Monitors {
 				_ = r.Unload(loaded.Name())
@@ -250,7 +252,6 @@ func (r *Runtime) LoadDeployment(cs []*compile.Compiled, cfg DeployConfig) (*Dep
 			return res, err
 		}
 		if disable[c.Name] {
-			m.SetEnabled(false)
 			res.Disabled = append(res.Disabled, c.Name)
 		} else if shadow[c.Name] {
 			res.Shadowed = append(res.Shadowed, c.Name)

@@ -82,7 +82,7 @@ func TestDeployWarnQuarantineUnderConcurrentFire(t *testing.T) {
 
 	// One more uncontended round so every shadowed monitor has at least
 	// one completed evaluation on the books (concurrent rounds can
-	// bounce off the single-evaluation CAS).
+	// be dropped by the single-evaluation claim).
 	k.Fire("io_submit", 0)
 
 	for _, m := range res.Monitors {

@@ -80,8 +80,9 @@ func (p FaultPolicy) String() string {
 // FaultInjector is the seam through which a fault-injection plan
 // (package faults) reaches the monitor runtime. Every method is called
 // on the evaluation path; implementations must be cheap and safe for
-// concurrent use. A nil injector (the default) costs one atomic load
-// per evaluation.
+// concurrent use. They may call the monitor's Stats: the evaluation
+// yields its counters around each call. A nil injector (the default)
+// costs one atomic load per evaluation.
 type FaultInjector interface {
 	// EvalFault, when non-nil, aborts the evaluation before the
 	// program runs, as if the VM had trapped.

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -161,6 +162,29 @@ type Stats struct {
 	Retries uint64
 	// DeadLetters counts actions that exhausted retries.
 	DeadLetters uint64
+	// SkippedEvals counts triggers dropped because an evaluation of this
+	// monitor was already in flight: a concurrent fire from another
+	// goroutine, or a store watcher re-entering the monitor from its own
+	// evaluation. Evals + SkippedEvals accounts for every trigger that
+	// found the monitor enabled and not quarantined, apart from
+	// evaluations an injected fault aborted (counted in Traps).
+	SkippedEvals uint64
+}
+
+// hotStats are the counters only the evaluator writes, kept apart from
+// the rest of Stats so an evaluation can update them under its claim
+// instead of m.mu (see Monitor.claim).
+type hotStats struct {
+	evals, violations, actionsFired, recoveries, vmSteps uint64
+	lastResult                                           float64
+	lastTriggerAt                                        kernel.Time
+}
+
+// into copies the hot counters into s.
+func (h *hotStats) into(s *Stats) {
+	s.Evals, s.Violations, s.ActionsFired = h.evals, h.violations, h.actionsFired
+	s.Recoveries, s.VMSteps = h.recoveries, h.vmSteps
+	s.LastResult, s.LastTriggerAt = h.lastResult, h.lastTriggerAt
 }
 
 // Monitor is a loaded guardrail: a verified VM program bound to kernel
@@ -176,12 +200,25 @@ type Monitor struct {
 	timers []*kernel.Timer
 	detach []func()
 
-	// running admits one evaluation at a time (and breaks the
-	// dependency-trigger recursion: a SAVE during evaluation fires
-	// store watchers, which re-enter Evaluate and bounce off the CAS).
-	// The CAS also publishes the single-eval state — machine, lastGood,
-	// suppressActions, the evaluator's gate view — across goroutines.
-	running atomic.Bool
+	// claim is the evaluation claim and the lock on the hot counters in
+	// one word (claimEval, claimHot, claimRead; see enter). claimEval
+	// admits one evaluation at a time — breaking the dependency-trigger
+	// recursion, where a SAVE during evaluation fires store watchers
+	// that re-enter Evaluate and are dropped — and publishes the
+	// single-eval state (machine, lastGood, suppressActions, the streaks,
+	// the evaluator's gate view) across goroutines. claimHot and
+	// claimRead guard hot between the evaluator and Stats readers.
+	claim atomic.Uint32
+	// hot holds the evaluator-written counters: the evaluator writes
+	// them holding claimHot, readers copy them holding claimRead.
+	hot hotStats
+	// skipped counts dropped evaluations (Stats.SkippedEvals).
+	skipped atomic.Uint64
+	// violStreak, passStreak and inEpisode are the hysteresis state,
+	// only touched while claimEval is held.
+	violStreak int
+	passStreak int
+	inEpisode  bool
 
 	// gate is the gating snapshot Evaluate reads with one atomic load.
 	// It is immutable; every mutator republishes a fresh copy under mu.
@@ -190,7 +227,7 @@ type Monitor struct {
 	// evalAct is the act-gate box the evaluator last saw, and evalIdx
 	// numbers evaluation attempts (including faulted ones) since then,
 	// for the act gate's deterministic sampling. Only touched while
-	// running is held. SetActGate publishes a new box, and the first
+	// claimEval is held. SetActGate publishes a new box, and the first
 	// evaluation to see it restarts the index at zero, so monitors
 	// attached to the same trigger stream whose gates are installed in
 	// the same kernel step see aligned indices from then on — the
@@ -200,18 +237,18 @@ type Monitor struct {
 
 	// suppressActions gates SAVE/REPORT/ACTION effects during the
 	// rule-only phase of hysteresis and in shadow states. Only touched
-	// while running is held.
+	// while claimEval is held.
 	suppressActions bool
 
 	// lastGood holds the last non-NaN value read per cell, the
 	// substitute served when a read comes back corrupt. Only touched
-	// while running is held. It is written on every LOAD, so it is
+	// while claimEval is held. It is written on every LOAD, so it is
 	// allocated by paddedCells onto cache lines of its own.
 	lastGood []float64
 
 	// telSink is the telemetry sink the evaluator last saw and
 	// telSteps this monitor's eval-steps histogram in it, resolved by
-	// name only when the sink changes. Only touched while running is
+	// name only when the sink changes. Only touched while claimEval is
 	// held.
 	telSink  *telemetry.Sink
 	telSteps *telemetry.Hist
@@ -221,7 +258,7 @@ type Monitor struct {
 	resultID featurestore.ID
 
 	// trigAt is the simulated time of the trigger that started the
-	// in-flight evaluation. Only touched while running is held; action
+	// in-flight evaluation. Only touched while claimEval is held; action
 	// closures copy it out so retries keep the original trigger time.
 	trigAt kernel.Time
 
@@ -231,8 +268,8 @@ type Monitor struct {
 	// flight; provCause is the shadow cause prov.Shadow/ShadowReason
 	// currently describe; provSkip is the head-based healthy-sample
 	// countdown (commit at zero, reload to HealthyEvery-1). All are
-	// only touched while running is held, including provSite, which the
-	// evaluation sets from its trigger site once the running CAS
+	// only touched while claimEval is held, including provSite, which
+	// the evaluation sets from its trigger site once its claim
 	// succeeds.
 	prov      provenance.Record
 	provTrace vm.BranchTrace
@@ -248,7 +285,9 @@ type Monitor struct {
 	provSyms   []string
 	provGlobal []bool
 
-	mu    sync.Mutex // guards everything below and republishing gate
+	mu sync.Mutex // guards everything below and republishing gate
+	// stats holds the counters evaluations do not own; its hot fields
+	// stay zero (they live in hot).
 	stats Stats
 
 	// gen is the monitor's deployment generation under its name: 1 on
@@ -257,10 +296,6 @@ type Monitor struct {
 	// Stats() reads continuously across hot updates.
 	gen  int
 	base Stats
-
-	violStreak int
-	passStreak int
-	inEpisode  bool
 
 	faultTimes  []kernel.Time // breaker sliding window
 	budgetEpoch int64
@@ -313,18 +348,32 @@ func (m *Monitor) Program() *vm.Program { return m.c.Program }
 // generations under the same name, so telemetry reads continuously
 // across updates instead of silently resetting (see GenerationStats for
 // this generation alone).
+//
+// Stats is safe from any goroutine, including from code a monitor's
+// own evaluation calls — its store watchers, actions, OnRecover and a
+// FaultInjector's methods.
 func (m *Monitor) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return mergeStats(m.base, m.stats)
+	cur, base := m.snapshot()
+	return mergeStats(base, cur)
 }
 
 // GenerationStats returns only this generation's counters, excluding
 // anything carried over from replaced generations.
 func (m *Monitor) GenerationStats() Stats {
+	cur, _ := m.snapshot()
+	return cur
+}
+
+// snapshot returns this generation's counters and the carried-over
+// base: the hot counters copied under claimRead, the rest under m.mu.
+func (m *Monitor) snapshot() (cur, base Stats) {
+	h := m.readHot()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	cur, base = m.stats, m.base
+	m.mu.Unlock()
+	h.into(&cur)
+	cur.SkippedEvals = m.skipped.Load()
+	return cur, base
 }
 
 // Generation returns the monitor's deployment generation under its
@@ -338,10 +387,11 @@ func (m *Monitor) Generation() int {
 // SumStats folds per-shard replica snapshots of one guardrail into a
 // fleet view: counters add across shards; the Last* observations come
 // from the replica with the latest LastTriggerAt (first wins on ties,
-// so a fixed shard order gives a deterministic result). Each input is
-// an atomic snapshot (Monitor.Stats takes the monitor's lock), so the
-// merge never reads a half-updated replica — the cross-shard
-// aggregation path for monitors replicated over a kernel Pool.
+// so a fixed shard order gives a deterministic result). Monitor.Stats
+// copies a replica's evaluator-written counters only while no
+// evaluation is updating them, so the merge never reads a half-updated
+// replica — the cross-shard aggregation path for monitors replicated
+// over a kernel Pool.
 func SumStats(ss ...Stats) Stats {
 	var out Stats
 	for _, s := range ss {
@@ -375,6 +425,7 @@ func mergeStats(base, cur Stats) Stats {
 	out.ShadowPromotions += base.ShadowPromotions
 	out.Retries += base.Retries
 	out.DeadLetters += base.DeadLetters
+	out.SkippedEvals += base.SkippedEvals
 	if cur.Evals == 0 {
 		out.LastResult = base.LastResult
 		out.LastTriggerAt = base.LastTriggerAt
@@ -453,11 +504,7 @@ func (m *Monitor) arm() {
 			m.timers = append(m.timers, timer)
 		case *spec.FuncTrigger:
 			site := tt.Site
-			detach := m.rt.k.Attach(tt.Site, func(_ *kernel.Kernel, _ string, args []float64) {
-				arg := 0.0
-				if len(args) > 0 {
-					arg = args[0]
-				}
+			detach := m.rt.k.AttachScalar(tt.Site, func(_ *kernel.Kernel, _ string, arg float64) {
 				m.evaluate(arg, site)
 			})
 			m.detach = append(m.detach, detach)
@@ -515,22 +562,101 @@ func (m *Monitor) disarm() {
 // of one bad run.
 func (m *Monitor) Evaluate(arg float64) bool { return m.evaluate(arg, "") }
 
+// The claim word's bits. An evaluation enters with one CAS 0 →
+// claimEval|claimHot and leaves with one release, so a steady
+// evaluation costs two fenced atomics and never takes m.mu. Before a
+// call that can reach code outside the runtime — a SAVE (store
+// watchers), a REPORT or ACTION dispatch, recordFault (quarantine and
+// its Fallback), OnRecover, the PublishResult SAVE, a FaultInjector
+// method — the evaluator yields claimHot and reclaims it afterwards, so
+// that code may call Stats; an evaluation that holds with no actions
+// and no injector crosses none of them. The exported vm.Env methods
+// (LoadCell, StoreCell, Helper) may also run outside an evaluation, with
+// nothing to yield, but not concurrently with one.
+// A reader sets claimRead only while claimHot is clear, copies the hot
+// counters and clears it; the evaluator waits out a reader rather than
+// dropping the trigger.
+const (
+	claimEval uint32 = 1 << iota // an evaluation is in flight
+	claimHot                     // the evaluator owns the hot counters
+	claimRead                    // a reader is copying the hot counters
+)
+
+// enter claims the monitor for one evaluation, holding the hot
+// counters. It returns false, counting the dropped trigger, when an
+// evaluation is already in flight.
+func (m *Monitor) enter() bool {
+	for !m.claim.CompareAndSwap(0, claimEval|claimHot) {
+		if m.claim.Load()&claimEval != 0 {
+			m.skipped.Add(1)
+			m.rt.Telemetry().EvalSkipped()
+			return false
+		}
+		runtime.Gosched() // a reader is copying the hot counters
+	}
+	return true
+}
+
+// leave releases the evaluation claim, whether or not the evaluator
+// still holds claimHot, waiting out a reader that came in while it had
+// yielded them.
+func (m *Monitor) leave() {
+	for c := m.claim.Load(); c&claimRead != 0 || !m.claim.CompareAndSwap(c, 0); c = m.claim.Load() {
+		runtime.Gosched()
+	}
+}
+
+// yieldHot hands the hot counters back before the evaluator calls code
+// that may read them. The evaluation stays claimed. It reports whether
+// it yielded: the vm.Env methods also run outside an evaluation (a
+// caller may run the program with the monitor as its Env), where there
+// is nothing to yield and so nothing to reclaim.
+func (m *Monitor) yieldHot() bool {
+	return m.claim.CompareAndSwap(claimEval|claimHot, claimEval)
+}
+
+// reclaimHot takes the hot counters back if yielded, the result of the
+// matching yieldHot, waiting out a reader.
+func (m *Monitor) reclaimHot(yielded bool) {
+	for yielded && !m.claim.CompareAndSwap(claimEval, claimEval|claimHot) {
+		runtime.Gosched()
+	}
+}
+
+// readHot copies the hot counters while no evaluator holds them.
+func (m *Monitor) readHot() hotStats {
+	for {
+		c := m.claim.Load()
+		if c&(claimHot|claimRead) == 0 && m.claim.CompareAndSwap(c, c|claimRead) {
+			break
+		}
+		runtime.Gosched()
+	}
+	h := m.hot
+	for {
+		c := m.claim.Load()
+		if m.claim.CompareAndSwap(c, c&^claimRead) {
+			return h
+		}
+	}
+}
+
 // evaluate is Evaluate for a trigger at hook site ("" for timers,
 // dependency triggers and direct calls). The gating snapshot costs one
-// atomic load, and the counters and streaks are updated in one critical
-// section, so a steady-state evaluation takes m.mu once.
+// atomic load and the counters and streaks are updated under the
+// evaluation claim, so a steady-state evaluation takes no lock.
 //
 //guardrails:hotpath
 func (m *Monitor) evaluate(arg float64, site string) bool {
-	if !m.running.CompareAndSwap(false, true) {
-		return true
-	}
-	defer m.running.Store(false)
-
 	g := m.gate.Load()
 	if !g.enabled || g.state == StateQuarantined {
 		return true
 	}
+	if !m.enter() {
+		return true
+	}
+	defer m.leave()
+
 	shadow := m.opts.ShadowMode || g.state == StateShadow || g.forceShadow
 	cause := notShadow
 	switch {
@@ -567,11 +693,13 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 	}
 
 	if inj := m.rt.injector(); inj != nil {
+		y := m.yieldHot()
 		if err := inj.EvalFault(m.Name()); err != nil {
 			m.recordFault("injected-trap", err)
 			m.provAbandon()
 			return true
 		}
+		m.reclaimHot(y)
 	}
 
 	needTwoPhase := m.opts.ViolationStreak > 1 && !shadow
@@ -584,28 +712,28 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 	fireRecover := false
 	twoPhase := false
 	fired := false
-	m.mu.Lock()
-	m.stats.Evals++
-	m.stats.VMSteps = m.machine.Steps
-	m.stats.LastTriggerAt = trig
+	h := &m.hot
+	h.evals++
+	h.vmSteps = m.machine.Steps
+	h.lastTriggerAt = trig
 	switch {
 	case err != nil:
 		// A fault is not a result: the result and streaks stay as they were.
 	case held:
-		m.stats.LastResult = out
+		h.lastResult = out
 		m.violStreak = 0
 		if m.inEpisode {
 			m.passStreak++
 			if m.opts.RecoveryStreak > 0 && m.passStreak >= m.opts.RecoveryStreak {
 				m.inEpisode = false
 				m.passStreak = 0
-				m.stats.Recoveries++
+				h.recoveries++
 				fireRecover = m.opts.OnRecover != nil
 			}
 		}
 	default:
-		m.stats.LastResult = out
-		m.stats.Violations++
+		h.lastResult = out
+		h.violations++
 		m.violStreak++
 		m.passStreak = 0
 		if m.violStreak >= m.opts.ViolationStreak {
@@ -616,15 +744,15 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 			case needTwoPhase:
 				twoPhase = true
 			default:
-				m.stats.ActionsFired++
+				h.actionsFired++
 				fired = true
 			}
 		}
 	}
-	m.mu.Unlock()
 
 	if err != nil {
 		sink.EvalWith(m.telSteps, int64(trig), m.Name(), m.machine.Steps-before, true)
+		m.yieldHot()
 		m.recordFault(trapKind(err), err)
 		m.provAbandon()
 		m.accountBudget(m.machine.Steps-before, now)
@@ -632,26 +760,28 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 	}
 
 	if fireRecover {
+		y := m.yieldHot()
 		m.opts.OnRecover(m)
+		m.reclaimHot(y)
 	}
 	if twoPhase {
 		// Re-run with actions enabled.
 		m.suppressActions = false
 		_, err := m.machine.Run(m.c.Program, m, arg)
-		m.mu.Lock()
-		m.stats.VMSteps = m.machine.Steps
+		h.vmSteps = m.machine.Steps
 		if err == nil {
-			m.stats.ActionsFired++
+			h.actionsFired++
 			fired = true
 		} else {
+			m.mu.Lock()
 			m.stats.DispatchErrors++
-		}
-		m.mu.Unlock()
-		if err != nil {
+			m.mu.Unlock()
 			// The action phase trapped after the rule phase succeeded —
 			// surface it; a silently dropped action is the one failure
 			// mode a guardrail runtime must not have.
+			y := m.yieldHot()
 			m.recordFault(trapKind(err), fmt.Errorf("action phase: %w", err))
+			m.reclaimHot(y)
 		}
 	}
 	if m.opts.PublishResult {
@@ -659,6 +789,8 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 		if !held {
 			v = 1
 		}
+		// The hot counters are final, so they stay yielded until leave.
+		m.yieldHot()
 		m.rt.store.SaveID(m.resultID, v)
 	}
 	// The eval record covers both phases of a two-phase evaluation, so
@@ -683,11 +815,12 @@ func (m *Monitor) evaluate(arg float64, site string) bool {
 // last known good value so one poisoned feature cannot wedge the rule.
 func (m *Monitor) LoadCell(i int32) float64 {
 	v := m.rt.store.LoadID(m.cells[i])
-	key := m.c.Program.Symbols[i]
 	if inj := m.rt.injector(); inj != nil {
-		if fv, ok := inj.LoadFault(m.Name(), key, v); ok {
+		y := m.yieldHot()
+		if fv, ok := inj.LoadFault(m.Name(), m.c.Program.Symbols[i], v); ok {
 			v = fv
 		}
+		m.reclaimHot(y)
 	}
 	if math.IsNaN(v) {
 		good := m.lastGood[i]
@@ -697,7 +830,9 @@ func (m *Monitor) LoadCell(i int32) float64 {
 		if m.provLive {
 			m.provFeature(i, good, true)
 		}
-		m.recordFault("corrupt-load", fmt.Errorf("NaN read from %q, substituting last good value %g", key, good))
+		y := m.yieldHot()
+		m.recordFault("corrupt-load", fmt.Errorf("NaN read from %q, substituting last good value %g", m.c.Program.Symbols[i], good))
+		m.reclaimHot(y)
 		return good
 	}
 	m.lastGood[i] = v
@@ -721,14 +856,19 @@ func (m *Monitor) StoreCell(i int32, v float64) {
 	if m.provLive {
 		m.prov.AddAction(m.provSyms[i], "save")
 	}
+	y := m.yieldHot()
 	m.rt.store.SaveID(m.cells[i], v)
+	m.reclaimHot(y)
 }
 
 // Helper implements vm.Env, dispatching monitor helpers and actions.
 // An injected helper fault surfaces as a TrapHelper through the VM.
 func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 	if inj := m.rt.injector(); inj != nil {
-		if err := inj.HelperFault(m.Name(), h); err != nil {
+		y := m.yieldHot()
+		err := inj.HelperFault(m.Name(), h)
+		m.reclaimHot(y)
+		if err != nil {
 			return 0, err
 		}
 	}
@@ -751,17 +891,21 @@ func (m *Monitor) Helper(h vm.HelperID, args *[5]float64) (float64, error) {
 				Time: m.trigAt, Guardrail: m.Name(), Values: []float64{args[0]},
 				Context: m.recorderContext(),
 			}
+			y := m.yieldHot()
 			m.runAction("REPORT", func() error {
 				m.rt.Log.Append(v)
 				return nil
 			}, 0, m.trigAt)
+			m.reclaimHot(y)
 		} else if m.provLive {
 			m.prov.AddAction("REPORT", "suppressed")
 		}
 		return 0, nil
 	case vm.HelperAction:
 		if !m.suppressActions {
+			y := m.yieldHot()
 			m.dispatchAction(int(args[0]), args[1:], m.trigAt)
+			m.reclaimHot(y)
 		} else if m.provLive {
 			m.prov.AddAction("ACTION", "suppressed")
 		}

@@ -9,7 +9,7 @@ import (
 
 // Provenance capture. The monitor owns one reusable scratch Record and
 // one reusable VM branch trace; while an evaluation is in flight
-// (provLive, under the running CAS) the VM appends branch decisions
+// (provLive, under the evaluation claim) the VM appends branch decisions
 // and LoadCell/action sites append their observations. At the end the
 // scratch is committed to the runtime's recorder if the decision is
 // always-on (violation) or admitted by the per-monitor head-based
@@ -47,10 +47,10 @@ func (m *Monitor) provInit() {
 // written by whichever commit path runs (provEnd for evaluations,
 // provFault for faults) — so only the state appended to during the
 // run is cleared here. Every store here lands before the evaluation's
-// next fenced instruction (the m.mu lock), which waits for them, so
-// fields that rarely change (the truncation flags, the shadow cause)
-// are tested and written only when they differ. provBegin stays
-// within the inlining budget.
+// next fenced instruction (at the latest, the release of its claim),
+// which waits for them, so fields that rarely change (the truncation
+// flags, the shadow cause) are tested and written only when they
+// differ. provBegin stays within the inlining budget.
 func (m *Monitor) provBegin(arg float64, cause shadowCause) {
 	r := &m.prov
 	r.NFeatures, r.NActions = 0, 0

@@ -47,7 +47,7 @@ type Runtime struct {
 	// DeadLetter receives actions that exhausted their retries.
 	DeadLetter *actions.DeadLetter
 
-	faultInj atomic.Value // injBox
+	faultInj atomic.Pointer[injBox]
 	tsink    atomic.Pointer[telemetry.Sink]
 	prov     atomic.Pointer[provenance.Recorder]
 
@@ -55,18 +55,18 @@ type Runtime struct {
 	monitors map[string]*Monitor
 }
 
-// injBox wraps the injector so atomic.Value sees one concrete type
-// regardless of the FaultInjector implementation stored.
+// injBox boxes the injector (nil for none) so one atomic pointer load,
+// with no type assertion, reads it on every evaluation.
 type injBox struct{ fi FaultInjector }
 
 // SetFaultInjector installs (or, with nil, removes) the fault-injection
 // plan consulted on every monitor evaluation. Safe to call while the
 // kernel runs.
-func (r *Runtime) SetFaultInjector(fi FaultInjector) { r.faultInj.Store(injBox{fi}) }
+func (r *Runtime) SetFaultInjector(fi FaultInjector) { r.faultInj.Store(&injBox{fi}) }
 
 // injector returns the installed fault injector, or nil.
 func (r *Runtime) injector() FaultInjector {
-	if b, ok := r.faultInj.Load().(injBox); ok {
+	if b := r.faultInj.Load(); b != nil {
 		return b.fi
 	}
 	return nil
@@ -118,6 +118,12 @@ func (r *Runtime) Store() *featurestore.Store { return r.store }
 // the incremental-deployment point: guardrails can be added while the
 // system runs.
 func (r *Runtime) Load(c *compile.Compiled, opts Options) (*Monitor, error) {
+	return r.load(c, opts, true)
+}
+
+// load is Load with the monitor's initial enabled state, which takes
+// effect before any trigger is armed.
+func (r *Runtime) load(c *compile.Compiled, opts Options, enabled bool) (*Monitor, error) {
 	opts.fillDefaults()
 	admitProof(c)
 	r.mu.Lock()
@@ -134,7 +140,7 @@ func (r *Runtime) Load(c *compile.Compiled, opts Options) (*Monitor, error) {
 		lastGood: paddedCells(len(c.Program.Symbols)),
 		gen:      1,
 	}
-	m.gate.Store(&gating{enabled: true})
+	m.gate.Store(&gating{enabled: enabled})
 	m.intern()
 	m.provInit()
 	m.arm()

@@ -121,6 +121,7 @@ func (h *Hist) Merge(o *Hist) {
 type Counters struct {
 	HookFires           Counter
 	Evals               Counter
+	SkippedEvals        Counter
 	Violations          Counter
 	ActionsFired        Counter
 	ActionDispatches    Counter
@@ -167,6 +168,7 @@ func (c *Counters) byName() []struct {
 	}{
 		{"hook_fires_total", &c.HookFires},
 		{"evals_total", &c.Evals},
+		{"monitor_evals_skipped_total", &c.SkippedEvals},
 		{"violations_total", &c.Violations},
 		{"actions_fired_total", &c.ActionsFired},
 		{"action_dispatches_total", &c.ActionDispatches},
@@ -400,6 +402,15 @@ func (s *Sink) EvalWith(stepsHist *Hist, at Time, monitor string, steps uint64, 
 		s.Counters.Violations.Inc()
 		s.rec.Record(Event{At: at, Kind: KindViolation, Subject: monitor})
 	}
+}
+
+// EvalSkipped counts one trigger a monitor dropped because its
+// evaluation was already in flight (the monitor's SkippedEvals).
+func (s *Sink) EvalSkipped() {
+	if s == nil {
+		return
+	}
+	s.Counters.SkippedEvals.Inc()
 }
 
 // ActionsFired records that a violation episode crossed its hysteresis
